@@ -36,9 +36,8 @@ class ArtifactCache {
   explicit ArtifactCache(size_t capacity = 4096) : capacity_(capacity) {}
 
   /// The cached artifact for `key`, or nullptr. Counts one hit or miss;
-  /// the counters are diagnostics only (surfaced through Pigeon EXPLAIN)
-  /// and never feed the simulated cost model, which stays identical on
-  /// hit and miss.
+  /// the counters are host diagnostics only (see hits()) and never feed
+  /// the simulated cost model, which stays identical on hit and miss.
   Ptr Lookup(const std::string& key) const SHADOOP_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     const auto it = map_.find(key);
@@ -74,9 +73,12 @@ class ArtifactCache {
     return map_.size();
   }
 
-  /// Lifetime Lookup() outcomes for this cache instance. Deterministic
-  /// for a deterministic job sequence: each runner owns its cache, and
-  /// a task performs the same lookups regardless of thread interleaving.
+  /// Lifetime Lookup() outcomes for this cache instance: host facts, not
+  /// deterministic ones. When two map tasks read the same block at once —
+  /// routine for DJ partition pairs — both can miss before either
+  /// inserts, so the split between hits and misses depends on thread
+  /// interleaving. Read them here (the host channel); never render them
+  /// into EXPLAIN, rows or any other checksummed output.
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
 

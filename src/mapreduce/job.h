@@ -93,7 +93,10 @@ class MapContext {
   /// Key/value bytes are copied into the task's shuffle buffer before the
   /// call returns, so views into short-lived storage are fine.
   virtual void Emit(std::string_view key, std::string_view value) = 0;
-  virtual void WriteOutput(std::string_view line) = 0;
+  /// Takes ownership of one final output line. The line is moved, never
+  /// copied, into JobResult::output; callers holding a view into a
+  /// record wrap it explicitly (`std::string(record)`).
+  virtual void WriteOutput(std::string line) = 0;
   virtual void ChargeCpu(uint64_t ops) = 0;
   virtual Counters& counters() = 0;
   /// The split being processed (access to `meta`).
@@ -148,8 +151,8 @@ class Mapper {
   /// `record` is a zero-copy view into the block being read; it stays
   /// valid until EndSplit() returns (the runner pins the block's bytes
   /// for the whole task attempt), so mappers may buffer views across
-  /// Map() calls. Anything that must outlive the task — Emit(),
-  /// WriteOutput() — is copied by the context.
+  /// Map() calls. Anything that must outlive the task is owned by the
+  /// context: Emit() copies its bytes, WriteOutput() takes its string.
   virtual void Map(std::string_view record, MapContext& ctx) = 0;
   virtual void EndSplit(MapContext& ctx) { (void)ctx; }
 };

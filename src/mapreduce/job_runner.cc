@@ -49,9 +49,9 @@ class MapContextImpl : public MapContext {
                                 static_cast<uint32_t>(value.size())});
   }
 
-  void WriteOutput(std::string_view line) override {
+  void WriteOutput(std::string line) override {
     output_bytes_ += line.size() + 1;
-    output_.emplace_back(line);
+    output_.push_back(std::move(line));
   }
 
   void ChargeCpu(uint64_t ops) override { acct_.charged_cpu_ops += ops; }
@@ -577,7 +577,12 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
   }
 
   // ------------------------------------------------------------------
-  // Assemble output and counters deterministically (task order).
+  // Assemble output and counters deterministically (task order). Lines
+  // move out of the task contexts; the reserve makes this one allocation.
+  size_t num_lines = 0;
+  for (const auto& ctx : map_ctxs) num_lines += ctx->output_.size();
+  for (const auto& ctx : reduce_ctxs) num_lines += ctx->output_.size();
+  result.output.reserve(num_lines);
   for (size_t i = 0; i < num_maps; ++i) {
     MapContextImpl& ctx = *map_ctxs[i];
     result.counters.MergeFrom(ctx.acct_.counters);

@@ -40,6 +40,22 @@ std::vector<std::string> PointsToLines(const std::vector<Point>& points) {
   return lines;
 }
 
+/// A materialized result binding that takes ownership of `lines`.
+Dataset LinesDataset(std::vector<std::string> lines,
+                     index::ShapeType shape = index::ShapeType::kPoint) {
+  Dataset dataset;
+  dataset.kind = Dataset::Kind::kLines;
+  dataset.shape = shape;
+  dataset.lines =
+      std::make_shared<const std::vector<std::string>>(std::move(lines));
+  return dataset;
+}
+
+std::shared_ptr<const index::SpatialFileInfo> Share(
+    index::SpatialFileInfo info) {
+  return std::make_shared<const index::SpatialFileInfo>(std::move(info));
+}
+
 }  // namespace
 
 Result<ExecutionReport> Executor::Execute(std::string_view script) {
@@ -73,7 +89,7 @@ Status Executor::ExecuteStatement(const Statement& stmt,
                                  LookUp(stmt.target, stmt.line));
         if (dataset.kind == Dataset::Kind::kLines) {
           SHADOOP_RETURN_NOT_OK(
-              runner_->file_system()->WriteLines(stmt.path, dataset.lines));
+              runner_->file_system()->WriteLines(stmt.path, *dataset.lines));
         } else {
           SHADOOP_ASSIGN_OR_RETURN(std::vector<std::string> lines,
                                    runner_->file_system()->ReadLines(
@@ -147,7 +163,7 @@ Status Executor::ExecuteStatement(const Statement& stmt,
           }
           case Dataset::Kind::kLines:
             line += "materialized result (" +
-                    std::to_string(dataset.lines.size()) + " records)";
+                    std::to_string(dataset.lines->size()) + " records)";
             break;
         }
         // Fault-tolerance work done by the script so far; absent on clean
@@ -184,16 +200,9 @@ Status Executor::ExecuteStatement(const Statement& stmt,
                     std::to_string(value);
         }
         if (!ingest.empty()) line += "; ingest: " + ingest;
-        // Artifact-cache reuse across the jobs this runner executed —
-        // lifetime counts, diagnostics only (the cache is a wall-clock
-        // optimization; simulated charges are identical on hit and
-        // miss). Nonzero-only: a session that never consulted the cache
-        // keeps byte-identical EXPLAIN output.
-        const mapreduce::ArtifactCache* acache = runner_->artifact_cache();
-        if (acache != nullptr && acache->hits() + acache->misses() > 0) {
-          line += "; artifact_cache: hits=" + std::to_string(acache->hits()) +
-                  ", misses=" + std::to_string(acache->misses());
-        }
+        // Artifact-cache hits and misses are host facts — concurrent map
+        // tasks race for the same block — so they stay off EXPLAIN and are
+        // read through JobRunner::artifact_cache() instead.
         // Result-cache outcomes for this session (server sessions only —
         // a standalone executor never produces cache.* counters).
         const int64_t result_hits =
@@ -221,9 +230,13 @@ Status Executor::ExecuteStatement(const Statement& stmt,
         SHADOOP_ASSIGN_OR_RETURN(Dataset dataset,
                                  LookUp(stmt.target, stmt.line));
         if (dataset.kind == Dataset::Kind::kLines) {
-          for (const std::string& line : dataset.lines) {
-            report.dump_output.push_back(line);
-          }
+          // The one copy a result row gets (DESIGN.md §8): the binding
+          // keeps its shared rows — it may be dumped again, feed another
+          // operation or sit in the result cache — while the report's
+          // rows are handed to the caller.
+          report.dump_output.insert(report.dump_output.end(),
+                                    dataset.lines->begin(),
+                                    dataset.lines->end());
         } else {
           SHADOOP_ASSIGN_OR_RETURN(std::vector<std::string> lines,
                                    runner_->file_system()->ReadLines(
@@ -275,7 +288,7 @@ Result<Dataset> Executor::LookUp(const std::string& name, int line) const {
       auto info = catalog_->Snapshot(it->second.catalog_name, want);
       if (!info.ok()) return AtLine(line, info.status());
       Dataset pinned = it->second;
-      pinned.info = std::move(info).value();
+      pinned.info = Share(std::move(info).value());
       pinned.version = want;
       return pinned;
     }
@@ -288,7 +301,7 @@ Result<std::string> Executor::EnsureFile(const Dataset& dataset) {
   const std::string path =
       "/.pigeon_tmp_" + temp_namespace_ + std::to_string(temp_counter_++);
   SHADOOP_RETURN_NOT_OK(
-      runner_->file_system()->WriteLines(path, dataset.lines));
+      runner_->file_system()->WriteLines(path, *dataset.lines));
   return path;
 }
 
@@ -333,7 +346,7 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
       dataset.path = info.data_path;
       dataset.catalog_name = target.catalog_name;
       dataset.version = version;
-      dataset.info = std::move(info);
+      dataset.info = Share(std::move(info));
       return dataset;
     }
     case Expr::Kind::kLoadIndex: {
@@ -353,7 +366,7 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
       dataset.kind = Dataset::Kind::kIndexed;
       dataset.shape = info.shape;
       dataset.path = expr.path;
-      dataset.info = std::move(info);
+      dataset.info = Share(std::move(info));
       dataset.catalog_name = bind_name;
       dataset.version = version;
       return dataset;
@@ -381,10 +394,7 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
                                               expr.range, stats);
               },
               /*allow_spatial=*/use_index));
-      Dataset result;
-      result.kind = Dataset::Kind::kLines;
-      result.lines = {std::to_string(count)};
-      return result;
+      return LinesDataset({std::to_string(count)});
     }
     case Expr::Kind::kIndex: {
       SHADOOP_ASSIGN_OR_RETURN(Dataset source, LookUp(expr.source, expr.line));
@@ -425,7 +435,7 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
       dataset.kind = Dataset::Kind::kIndexed;
       dataset.shape = source.shape;
       dataset.path = dest;
-      dataset.info = std::move(info);
+      dataset.info = Share(std::move(info));
       // Register the build as version 1 of the binding, so the dataset is
       // appendable and snapshot-addressable. Pure bookkeeping: no job
       // runs, no counter moves.
@@ -444,11 +454,8 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
         use_index = plan.use_index;
         plan_log_.push_back(std::move(plan.decision));
       }
-      Dataset result;
-      result.kind = Dataset::Kind::kLines;
-      result.shape = source.shape;
       SHADOOP_ASSIGN_OR_RETURN(
-          result.lines,
+          std::vector<std::string> rows,
           Dispatch(
               source,
               [&](const index::SpatialFileInfo& info) {
@@ -460,7 +467,7 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
                                               expr.range, stats);
               },
               /*allow_spatial=*/use_index));
-      return result;
+      return LinesDataset(std::move(rows), source.shape);
     }
     case Expr::Kind::kKnn: {
       SHADOOP_ASSIGN_OR_RETURN(Dataset source, LookUp(expr.source, expr.line));
@@ -476,19 +483,16 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
                 return core::KnnHadoop(runner_, path, source.shape, expr.query,
                                        expr.k, stats);
               }));
-      Dataset result;
-      result.kind = Dataset::Kind::kLines;
-      result.shape = source.shape;
-      for (const core::KnnAnswer& a : answers) result.lines.push_back(a.record);
-      return result;
+      std::vector<std::string> rows;
+      rows.reserve(answers.size());
+      for (core::KnnAnswer& a : answers) rows.push_back(std::move(a.record));
+      return LinesDataset(std::move(rows), source.shape);
     }
     case Expr::Kind::kJoin: {
       SHADOOP_ASSIGN_OR_RETURN(Dataset left, LookUp(expr.source, expr.line));
       SHADOOP_ASSIGN_OR_RETURN(Dataset right,
                                LookUp(expr.source_b, expr.line));
-      Dataset result;
-      result.kind = Dataset::Kind::kLines;
-      result.shape = left.shape;
+      std::vector<std::string> rows;
       if (left.kind == Dataset::Kind::kIndexed &&
           right.kind == Dataset::Kind::kIndexed) {
         core::DjOptions dj_options;
@@ -504,24 +508,21 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
         }
         if (use_sjmr) {
           SHADOOP_ASSIGN_OR_RETURN(
-              result.lines,
-              core::SjmrJoin(runner_, left.path, left.shape, right.path,
-                             right.shape, stats));
+              rows, core::SjmrJoin(runner_, left.path, left.shape, right.path,
+                                   right.shape, stats));
         } else {
           SHADOOP_ASSIGN_OR_RETURN(
-              result.lines, core::DistributedJoin(runner_, *left.info,
-                                                  *right.info, stats,
-                                                  dj_options));
+              rows, core::DistributedJoin(runner_, *left.info, *right.info,
+                                          stats, dj_options));
         }
       } else {
         SHADOOP_ASSIGN_OR_RETURN(std::string left_path, EnsureFile(left));
         SHADOOP_ASSIGN_OR_RETURN(std::string right_path, EnsureFile(right));
         SHADOOP_ASSIGN_OR_RETURN(
-            result.lines,
-            core::SjmrJoin(runner_, left_path, left.shape, right_path,
-                           right.shape, stats));
+            rows, core::SjmrJoin(runner_, left_path, left.shape, right_path,
+                                 right.shape, stats));
       }
-      return result;
+      return LinesDataset(std::move(rows), left.shape);
     }
     case Expr::Kind::kKnnJoin: {
       SHADOOP_ASSIGN_OR_RETURN(Dataset left, LookUp(expr.source, expr.line));
@@ -537,14 +538,13 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
           std::vector<core::KnnJoinAnswer> answers,
           core::KnnJoinSpatial(runner_, *left.info, *right.info, expr.k,
                                stats));
-      Dataset result;
-      result.kind = Dataset::Kind::kLines;
-      result.shape = left.shape;
+      std::vector<std::string> rows;
+      rows.reserve(answers.size());
       for (const core::KnnJoinAnswer& a : answers) {
-        result.lines.push_back(a.left + std::string(1, core::kJoinSeparator) +
-                               a.right);
+        rows.push_back(a.left + std::string(1, core::kJoinSeparator) +
+                       a.right);
       }
-      return result;
+      return LinesDataset(std::move(rows), left.shape);
     }
     case Expr::Kind::kSkyline: {
       SHADOOP_ASSIGN_OR_RETURN(Dataset source, LookUp(expr.source, expr.line));
@@ -558,10 +558,7 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
               [&](const std::string& path) {
                 return core::SkylineHadoop(runner_, path, stats);
               }));
-      Dataset result;
-      result.kind = Dataset::Kind::kLines;
-      result.lines = PointsToLines(skyline);
-      return result;
+      return LinesDataset(PointsToLines(skyline));
     }
     case Expr::Kind::kConvexHull: {
       SHADOOP_ASSIGN_OR_RETURN(Dataset source, LookUp(expr.source, expr.line));
@@ -575,10 +572,7 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
               [&](const std::string& path) {
                 return core::ConvexHullHadoop(runner_, path, stats);
               }));
-      Dataset result;
-      result.kind = Dataset::Kind::kLines;
-      result.lines = PointsToLines(hull);
-      return result;
+      return LinesDataset(PointsToLines(hull));
     }
     case Expr::Kind::kClosestPair: {
       SHADOOP_ASSIGN_OR_RETURN(Dataset source, LookUp(expr.source, expr.line));
@@ -590,10 +584,7 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
       SHADOOP_ASSIGN_OR_RETURN(
           PointPair pair, core::ClosestPairSpatial(runner_, *source.info,
                                                    stats));
-      Dataset result;
-      result.kind = Dataset::Kind::kLines;
-      result.lines = {PointToCsv(pair.first), PointToCsv(pair.second)};
-      return result;
+      return LinesDataset({PointToCsv(pair.first), PointToCsv(pair.second)});
     }
     case Expr::Kind::kFarthestPair: {
       SHADOOP_ASSIGN_OR_RETURN(Dataset source, LookUp(expr.source, expr.line));
@@ -607,10 +598,7 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
               [&](const std::string& path) {
                 return core::FarthestPairHadoop(runner_, path, stats);
               }));
-      Dataset result;
-      result.kind = Dataset::Kind::kLines;
-      result.lines = {PointToCsv(pair.first), PointToCsv(pair.second)};
-      return result;
+      return LinesDataset({PointToCsv(pair.first), PointToCsv(pair.second)});
     }
     case Expr::Kind::kUnion: {
       SHADOOP_ASSIGN_OR_RETURN(Dataset source, LookUp(expr.source, expr.line));
@@ -630,12 +618,10 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
                 return core::UnionHadoop(runner_, path, stats);
               },
               /*allow_spatial=*/disjoint));
-      Dataset result;
-      result.kind = Dataset::Kind::kLines;
-      for (const Segment& s : segments) {
-        result.lines.push_back(core::SegmentToCsv(s));
-      }
-      return result;
+      std::vector<std::string> rows;
+      rows.reserve(segments.size());
+      for (const Segment& s : segments) rows.push_back(core::SegmentToCsv(s));
+      return LinesDataset(std::move(rows));
     }
   }
   return Status::Internal("unhandled expression kind");

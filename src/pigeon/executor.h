@@ -3,7 +3,6 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,14 +20,18 @@ namespace shadoop::pigeon {
 
 /// A bound dataset in the executor's environment: a raw HDFS file, a
 /// spatially indexed file, or materialized result lines.
+///
+/// A cheap handle: the global index and the rows are immutable and
+/// shared, so looking a binding up, rebinding it or caching it copies two
+/// pointers, never the rows or the partition list (DESIGN.md §8).
 struct Dataset {
   enum class Kind { kFile, kIndexed, kLines };
 
   Kind kind = Kind::kFile;
   index::ShapeType shape = index::ShapeType::kPoint;
-  std::string path;                            // kFile / kIndexed.
-  std::optional<index::SpatialFileInfo> info;  // kIndexed.
-  std::vector<std::string> lines;              // kLines.
+  std::string path;                                    // kFile / kIndexed.
+  std::shared_ptr<const index::SpatialFileInfo> info;  // kIndexed.
+  std::shared_ptr<const std::vector<std::string>> lines;  // kLines.
 
   /// Catalog lineage of an indexed dataset (empty for plain files and
   /// results): the binding is pinned to `version` of `catalog_name`, and
@@ -71,9 +74,9 @@ class Executor {
   Result<ExecutionReport> Execute(std::string_view script);
 
   /// Like Execute, but accumulates into an existing report. The query
-  /// server keeps one cumulative report per session, so splitting a
-  /// script across many requests yields byte-identical dump output and
-  /// EXPLAIN counters to running it in one Execute call.
+  /// server keeps one report per session for its cumulative charges (so
+  /// EXPLAIN counters match a single Execute call) and moves each
+  /// request's dump_output out to the caller.
   Status ExecuteInto(std::string_view script, ExecutionReport* report);
 
   /// Runs one already-parsed statement against the session. The server's

@@ -139,7 +139,8 @@ Result<SessionId> QueryServer::OpenSession(const std::string& tenant,
     dataset.path = info.data_path;
     dataset.catalog_name = name;
     dataset.version = latest;
-    dataset.info = std::move(info);
+    dataset.info =
+        std::make_shared<const index::SpatialFileInfo>(std::move(info));
     session->executor->Bind(name, std::move(dataset));
   }
   sessions_.push_back(std::move(session));
@@ -163,18 +164,22 @@ Result<RequestResult> QueryServer::Execute(SessionId session,
   }
   MutexLock lock(&s->mu);
   SHADOOP_ASSIGN_OR_RETURN(pigeon::Script statements, pigeon::Parse(script));
-  const size_t dump_before = s->report.dump_output.size();
   const mapreduce::JobCost cost_before = s->report.stats.cost;
   const int64_t hits_before =
       s->report.stats.counters.Get("cache.result_hits");
   const int64_t misses_before =
       s->report.stats.counters.Get("cache.result_misses");
+  Status status;
   for (const pigeon::Statement& stmt : statements) {
-    SHADOOP_RETURN_NOT_OK(ExecuteSessionStatement(*s, stmt));
+    status = ExecuteSessionStatement(*s, stmt);
+    if (!status.ok()) break;
   }
+  // The request's rows leave the session, even when a statement failed:
+  // the session keeps charges, never rows.
   RequestResult out;
-  out.rows.assign(s->report.dump_output.begin() + dump_before,
-                  s->report.dump_output.end());
+  out.rows = std::move(s->report.dump_output);
+  s->report.dump_output.clear();
+  SHADOOP_RETURN_NOT_OK(status);
   out.cost = CostDelta(s->report.stats.cost, cost_before);
   // Modeled end-to-end latency of the request: simulated cluster time of
   // its jobs plus simulated admission queueing.
@@ -221,6 +226,28 @@ Result<const pigeon::ExecutionReport*> QueryServer::SessionReport(
   return const_cast<const pigeon::ExecutionReport*>(&s->report);
 }
 
+Result<const mapreduce::ArtifactCache*> QueryServer::SessionArtifactCache(
+    SessionId session) const {
+  Session* s = FindSession(session);
+  if (s == nullptr) {
+    return Status::InvalidArgument("unknown session id " +
+                                   std::to_string(session));
+  }
+  return const_cast<const mapreduce::ArtifactCache*>(
+      s->runner->artifact_cache());
+}
+
+Result<pigeon::Dataset> QueryServer::Binding(SessionId session,
+                                             const std::string& name) const {
+  Session* s = FindSession(session);
+  if (s == nullptr) {
+    return Status::InvalidArgument("unknown session id " +
+                                   std::to_string(session));
+  }
+  MutexLock lock(&s->mu);
+  return s->executor->ResolveBinding(name, /*line=*/0);
+}
+
 Status QueryServer::ExecuteSessionStatement(Session& session,
                                             const pigeon::Statement& stmt) {
   std::string key;
@@ -238,7 +265,7 @@ Status QueryServer::ExecuteSessionStatement(Session& session,
     pigeon::Dataset dataset;
     dataset.kind = pigeon::Dataset::Kind::kLines;
     dataset.shape = hit->shape;
-    dataset.lines = hit->lines;
+    dataset.lines = hit->lines;  // Shared, not copied.
     session.executor->Bind(stmt.target, std::move(dataset));
     AddCost(&session.report.stats.cost, hit->cost);
     for (const auto& [name, value] : hit->counters) {
@@ -258,7 +285,7 @@ Status QueryServer::ExecuteSessionStatement(Session& session,
   const auto it = env.find(stmt.target);
   if (it != env.end() && it->second.kind == pigeon::Dataset::Kind::kLines) {
     auto entry = std::make_shared<CachedResult>();
-    entry->lines = it->second.lines;
+    entry->lines = it->second.lines;  // The binding's buffer, shared.
     entry->shape = it->second.shape;
     entry->cost = CostDelta(session.report.stats.cost, cost_before);
     for (const auto& [name, value] : session.report.stats.counters.values()) {

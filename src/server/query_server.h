@@ -36,7 +36,8 @@ struct ServerOptions {
 using SessionId = int;
 
 /// What one Execute() call produced: the rows its DUMP/EXPLAIN
-/// statements emitted and the *simulated* charge delta of the request.
+/// statements emitted (moved out of the session, which keeps none) and
+/// the *simulated* charge delta of the request.
 /// sim_latency_ms is modeled cluster time (job makespans plus simulated
 /// admission wait), so saturation benchmarks report identical latency
 /// distributions on every machine and every rerun.
@@ -69,7 +70,11 @@ struct SessionStream {
 ///     streams, and admission wait lands in sim_latency_ms.
 ///   - Cacheable assignments (queries over catalog-pinned indexed
 ///     datasets) go through the ResultCache; hits bind the cached rows
-///     and replay the stored charges, byte-identical to a miss.
+///     (the entry's shared buffer, not a copy) and replay the stored
+///     charges, byte-identical to a miss.
+///   - A session keeps cumulative charges, counters and jobs_run, but no
+///     rows: each request's rows are moved into its RequestResult, so a
+///     long-lived session's memory does not grow with what it dumped.
 ///
 /// Threading: attach datasets and open sessions first (single-threaded
 /// setup), then serve — Execute() on distinct sessions is safe from
@@ -100,7 +105,8 @@ class QueryServer {
 
   /// Parses and runs `script` in the session, returning the request's
   /// rows and simulated charge delta. Splitting a workload across many
-  /// Execute calls yields byte-identical cumulative output to one call.
+  /// Execute calls yields byte-identical output to one call: the
+  /// requests' rows, concatenated, equal the single call's rows.
   Result<RequestResult> Execute(SessionId session, std::string_view script);
 
   /// Runs every stream concurrently (scripts sequential within each
@@ -109,11 +115,25 @@ class QueryServer {
   Result<std::vector<std::vector<RequestResult>>> ExecuteConcurrent(
       const std::vector<SessionStream>& streams);
 
-  /// The session's cumulative report (dump output and charges of every
-  /// request so far). Not safe against a concurrent Execute on the same
+  /// The session's cumulative charges: cost, counters and jobs_run of
+  /// every request so far. Charges only — `dump_output` is always empty
+  /// between requests, because Execute moves each request's rows into its
+  /// RequestResult. Not safe against a concurrent Execute on the same
   /// session.
   Result<const pigeon::ExecutionReport*> SessionReport(
       SessionId session) const;
+
+  /// Host channel for the session runner's artifact-cache reuse. Its
+  /// hits()/misses() depend on thread interleaving, so they never reach
+  /// EXPLAIN or any other deterministic output.
+  Result<const mapreduce::ArtifactCache*> SessionArtifactCache(
+      SessionId session) const;
+
+  /// The dataset bound to `name` in the session, resolved as a query
+  /// would resolve it: a handle sharing the binding's rows and index (for
+  /// tests and tooling).
+  Result<pigeon::Dataset> Binding(SessionId session,
+                                  const std::string& name) const;
 
   catalog::DatasetCatalog& catalog() { return catalog_; }
   mapreduce::AdmissionController& admission() { return admission_; }
@@ -125,7 +145,7 @@ class QueryServer {
     std::string tenant;
     std::unique_ptr<mapreduce::JobRunner> runner;
     std::unique_ptr<pigeon::Executor> executor;
-    pigeon::ExecutionReport report;
+    pigeon::ExecutionReport report;  // Charges; rows only mid-request.
     Mutex mu;  // Serializes this session's requests.
   };
 

@@ -23,8 +23,12 @@ namespace shadoop::server {
 /// JobCost, counters, jobs_run — so the entry stores the full delta and
 /// the server replays it into the hitting session's report. Wall-clock
 /// time is deliberately absent: saving it is the cache's entire point.
+///
+/// `lines` is the immutable row buffer of the binding that produced the
+/// entry; every hit binds that same buffer, so neither an insert nor a hit
+/// copies a row.
 struct CachedResult {
-  std::vector<std::string> lines;
+  std::shared_ptr<const std::vector<std::string>> lines;
   index::ShapeType shape = index::ShapeType::kPoint;
   mapreduce::JobCost cost;
   std::map<std::string, int64_t> counters;

@@ -372,7 +372,7 @@ TEST(FaultToleranceTest, AbortCarriesTaskIdAndAttemptHistory) {
   class PassMapper : public Mapper {
    public:
     void Map(std::string_view record, MapContext& ctx) override {
-      ctx.WriteOutput(record);
+      ctx.WriteOutput(std::string(record));
     }
   };
   JobConfig job;

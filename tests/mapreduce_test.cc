@@ -115,7 +115,10 @@ TEST(MapReduceTest, MapOnlyJobWritesDirectOutput) {
   class PassMapper : public Mapper {
    public:
     void Map(std::string_view record, MapContext& ctx) override {
-      ctx.WriteOutput("out:" + std::string(record));
+      // One owned line moved in, one view into the block wrapped.
+      std::string owned = "out:" + std::string(record);
+      ctx.WriteOutput(std::move(owned));
+      ctx.WriteOutput(std::string(record));
     }
   };
   JobConfig job;
@@ -125,8 +128,12 @@ TEST(MapReduceTest, MapOnlyJobWritesDirectOutput) {
   JobResult result = cluster.runner.Run(job);
   ASSERT_TRUE(result.status.ok());
   EXPECT_EQ(result.cost.num_reduce_tasks, 0);
-  EXPECT_EQ(cluster.fs.ReadLines("/out").ValueOrDie(),
-            (std::vector<std::string>{"out:1", "out:2", "out:3"}));
+  const std::vector<std::string> expected = {"out:1", "1", "out:2",
+                                             "2",     "out:3", "3"};
+  EXPECT_EQ(result.output, expected);
+  EXPECT_EQ(cluster.fs.ReadLines("/out").ValueOrDie(), expected);
+  // Every written line is charged size() + 1 bytes, moved or wrapped.
+  EXPECT_EQ(result.cost.bytes_written, 3u * (5 + 1) + 3u * (1 + 1));
 }
 
 TEST(MapReduceTest, InjectedFaultIsRetried) {
@@ -135,7 +142,7 @@ TEST(MapReduceTest, InjectedFaultIsRetried) {
   class PassMapper : public Mapper {
    public:
     void Map(std::string_view record, MapContext& ctx) override {
-      ctx.WriteOutput(record);
+      ctx.WriteOutput(std::string(record));
     }
   };
   JobConfig job;
@@ -155,7 +162,7 @@ TEST(MapReduceTest, PersistentFaultFailsTheJob) {
   class PassMapper : public Mapper {
    public:
     void Map(std::string_view record, MapContext& ctx) override {
-      ctx.WriteOutput(record);
+      ctx.WriteOutput(std::string(record));
     }
   };
   JobConfig job;

@@ -442,7 +442,7 @@ TEST(ExecutorOptimizer, IndexWithAutoConsultsTheAdvisor) {
   EXPECT_NE(line.find("balance="), std::string::npos) << line;
   const auto it = executor.environment().find("idx");
   ASSERT_NE(it, executor.environment().end());
-  ASSERT_TRUE(it->second.info.has_value());
+  ASSERT_TRUE(it->second.info != nullptr);
   // The advisor never picks the uniform grid on clustered data.
   EXPECT_NE(it->second.info->global_index.scheme(),
             index::PartitionScheme::kGrid);

@@ -1,7 +1,8 @@
 // Tests for the Pigeon query server (src/server/, DESIGN.md §14): session
 // byte-parity with the standalone executor, the shared result cache
 // (hit == miss in rows and charges, version bumps invalidate), the
-// snapshot_version-0 re-pin fix, and deterministic concurrent serving
+// snapshot_version-0 re-pin fix, row ownership (sessions keep no rows,
+// hits share the cached row buffer), and deterministic concurrent serving
 // across admission seeds. The concurrent cases run under TSan via
 // scripts/check.sh.
 #include "server/query_server.h"
@@ -108,13 +109,19 @@ TEST(QueryServerTest, SingleSessionMatchesDirectExecutorByteForByte) {
   options.enable_result_cache = false;
   QueryServer server(&served_cluster.fs, options);
   const SessionId session = server.OpenSession().ValueOrDie();
+  std::vector<std::string> served_rows;
   for (const char* stmt : kScript) {
-    ASSERT_TRUE(server.Execute(session, stmt).ok()) << stmt;
+    Result<RequestResult> request = server.Execute(session, stmt);
+    ASSERT_TRUE(request.ok()) << stmt;
+    served_rows.insert(served_rows.end(), request->rows.begin(),
+                       request->rows.end());
   }
 
+  // Rows are returned per request; concatenated, they are the one-call
+  // dump output. The session itself keeps the charges.
+  EXPECT_EQ(served_rows, expected.dump_output);
   const ExecutionReport& report =
       *server.SessionReport(session).ValueOrDie();
-  EXPECT_EQ(report.dump_output, expected.dump_output);
   ExpectSameCost(report.stats.cost, expected.stats.cost);
   EXPECT_EQ(report.stats.jobs_run, expected.stats.jobs_run);
   EXPECT_EQ(NonCacheCounters(report.stats.counters),
@@ -308,7 +315,7 @@ TEST(QueryServerTest, TwoSessionsPinDifferentVersionsOfOneDataset) {
 // ---------------------------------------------------------------------------
 // EXPLAIN cache counters.
 
-TEST(QueryServerTest, ExplainSurfacesArtifactAndResultCacheCounters) {
+TEST(QueryServerTest, ExplainSurfacesResultCacheButNotArtifactCache) {
   testing::TestCluster cluster;
   SeedIndexedDataset(&cluster);
   QueryServer server(&cluster.fs, SmallClusterOptions());
@@ -322,8 +329,13 @@ TEST(QueryServerTest, ExplainSurfacesArtifactAndResultCacheCounters) {
       server.Execute(session, "EXPLAIN idx;").ValueOrDie();
   ASSERT_EQ(explain.rows.size(), 1u);
   const std::string& line = explain.rows[0];
-  // The session ran real jobs, so the artifact cache was consulted.
-  EXPECT_NE(line.find("; artifact_cache: hits="), std::string::npos) << line;
+  // The session ran real jobs, so the artifact cache was consulted — and
+  // that shows in the host channel, never in EXPLAIN, because its
+  // hit/miss split depends on thread interleaving.
+  const mapreduce::ArtifactCache* artifacts =
+      server.SessionArtifactCache(session).ValueOrDie();
+  EXPECT_GT(artifacts->hits() + artifacts->misses(), 0u);
+  EXPECT_EQ(line.find("artifact_cache"), std::string::npos) << line;
   // One executed query, one cached replay.
   EXPECT_NE(line.find("; result_cache: hits=1, misses=1"), std::string::npos)
       << line;
@@ -341,6 +353,92 @@ TEST(ExecutorExplainTest, NoCacheSegmentsBeforeAnyLookup) {
   ASSERT_EQ(report.dump_output.size(), 1u);
   EXPECT_EQ(report.dump_output[0].find("artifact_cache"), std::string::npos);
   EXPECT_EQ(report.dump_output[0].find("result_cache"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Row ownership: a row is built once and moved or shared, never retained
+// by the session (DESIGN.md §8, §14.1).
+
+TEST(QueryServerTest, SessionReportHoldsNoRowsAfterRequests) {
+  testing::TestCluster cluster;
+  SeedIndexedDataset(&cluster);
+  QueryServer server(&cluster.fs, SmallClusterOptions());
+  ASSERT_TRUE(server.AttachDataset("idx", "/pts_idx").ok());
+  const SessionId session = server.OpenSession().ValueOrDie();
+
+  size_t rows_returned = 0;
+  for (int i = 1; i <= 6; ++i) {
+    const std::string corner = std::to_string(100000 * i);
+    const RequestResult request =
+        server
+            .Execute(session, "r = RANGE idx RECTANGLE(0, 0, " + corner +
+                                  ", " + corner + "); DUMP r;")
+            .ValueOrDie();
+    rows_returned += request.rows.size();
+    const ExecutionReport& report =
+        *server.SessionReport(session).ValueOrDie();
+    EXPECT_TRUE(report.dump_output.empty()) << "after request " << i;
+    EXPECT_EQ(report.stats.counters.Get("cache.result_misses"), i);
+  }
+  EXPECT_GT(rows_returned, 0u);
+
+  // A failing request leaves no rows behind either.
+  EXPECT_FALSE(server.Execute(session, "DUMP r; DUMP missing;").ok());
+  EXPECT_TRUE(
+      server.SessionReport(session).ValueOrDie()->dump_output.empty());
+}
+
+TEST(QueryServerTest, CacheHitBindsStoredRowBuffer) {
+  testing::TestCluster cluster;
+  SeedIndexedDataset(&cluster);
+  QueryServer server(&cluster.fs, SmallClusterOptions());
+  ASSERT_TRUE(server.AttachDataset("idx", "/pts_idx").ok());
+  const SessionId s1 = server.OpenSession().ValueOrDie();
+  const SessionId s2 = server.OpenSession().ValueOrDie();
+
+  const RequestResult miss =
+      server.Execute(s1, "a = RANGE idx RECTANGLE(0, 0, 500000, 500000);")
+          .ValueOrDie();
+  const RequestResult hit =
+      server.Execute(s2, "b = RANGE idx RECTANGLE(0, 0, 500000, 500000);")
+          .ValueOrDie();
+  ASSERT_EQ(miss.result_cache_misses, 1);
+  ASSERT_EQ(hit.result_cache_hits, 1);
+
+  // The miss stored its binding's buffer; the hit bound that same buffer.
+  const pigeon::Dataset stored = server.Binding(s1, "a").ValueOrDie();
+  const pigeon::Dataset bound = server.Binding(s2, "b").ValueOrDie();
+  ASSERT_NE(stored.lines, nullptr);
+  EXPECT_FALSE(stored.lines->empty());
+  EXPECT_EQ(bound.lines.get(), stored.lines.get());
+}
+
+TEST(QueryServerTest, DumpRowsSurviveCacheHitRebind) {
+  testing::TestCluster cluster;
+  SeedIndexedDataset(&cluster);
+  QueryServer server(&cluster.fs, SmallClusterOptions());
+  ASSERT_TRUE(server.AttachDataset("idx", "/pts_idx").ok());
+  const SessionId session = server.OpenSession().ValueOrDie();
+
+  const char* kQuery = "a = RANGE idx RECTANGLE(0, 0, 600000, 600000);";
+  const RequestResult before =
+      server.Execute(session, std::string(kQuery) + " DUMP a;").ValueOrDie();
+  const pigeon::Dataset first = server.Binding(session, "a").ValueOrDie();
+
+  // The hit rebinds `a` to the entry's buffer, which the first binding
+  // produced: DUMP before and after — and dumping twice — give the same
+  // bytes, so no DUMP moved rows out of the shared buffer.
+  const RequestResult after =
+      server.Execute(session, std::string(kQuery) + " DUMP a; DUMP a;")
+          .ValueOrDie();
+  EXPECT_EQ(after.result_cache_hits, 1);
+  ASSERT_FALSE(before.rows.empty());
+  std::vector<std::string> twice = before.rows;
+  twice.insert(twice.end(), before.rows.begin(), before.rows.end());
+  EXPECT_EQ(after.rows, twice);
+  EXPECT_EQ(server.Binding(session, "a").ValueOrDie().lines.get(),
+            first.lines.get());
+  EXPECT_EQ(*first.lines, before.rows);
 }
 
 // ---------------------------------------------------------------------------
