@@ -16,9 +16,8 @@
 // (d) Persisted local indexes: geometry-heavy (polygon) range queries
 //     with and without the in-block #lidx header. Expected: the header
 //     costs extra bytes but removes the O(n log n) R-tree build charge.
-// (e) Local join kernel: the distributed join with the R-tree probe vs
-//     the plane sweep. Expected: comparable results, different CPU
-//     profile — sweep avoids index-build cost per pair.
+// (e) Retired with the plane-sweep join kernel: the joins have one
+//     in-memory kernel, the R-tree probe (EXPERIMENTS.md E12).
 // (f) Histogram-balanced SJMR on skewed data vs the uniform grid.
 //     Expected: extra histogram jobs, but a smaller reduce makespan
 //     (even cell loads), paying off as skew grows.
@@ -254,56 +253,6 @@ BENCHMARK(BM_RangeWithoutLocalIndex)->Iterations(1)->Unit(
 BENCHMARK(BM_RangeWithPersistedLocalIndex)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
-
-// ---------------------------------------------------------------- (e)
-
-struct KernelData {
-  KernelData() {
-    WriteRects(&cluster.fs, "/ka", 40000, 5, 0.008);
-    WriteRects(&cluster.fs, "/kb", 30000, 6, 0.008);
-    a = BuildIndex(&cluster.runner, "/ka", "/ka.str",
-                   index::PartitionScheme::kStr,
-                   index::ShapeType::kRectangle);
-    b = BuildIndex(&cluster.runner, "/kb", "/kb.str",
-                   index::PartitionScheme::kStr,
-                   index::ShapeType::kRectangle);
-  }
-  BenchCluster cluster;
-  index::SpatialFileInfo a, b;
-};
-
-KernelData& GetKernelData() {
-  static KernelData* data = new KernelData();
-  return *data;
-}
-
-void RunKernelJoin(benchmark::State& state,
-                   core::LocalJoinAlgorithm algorithm) {
-  KernelData& data = GetKernelData();
-  for (auto _ : state) {
-    core::OpStats stats;
-    core::DjOptions options;
-    options.local_algorithm = algorithm;
-    auto result = core::DistributedJoin(&data.cluster.runner, data.a, data.b,
-                                        &stats, options)
-                      .ValueOrDie();
-    state.counters["results"] = static_cast<double>(result.size());
-    ReportStats(state, stats);
-  }
-}
-
-void BM_JoinKernelRTreeProbe(benchmark::State& state) {
-  RunKernelJoin(state, core::LocalJoinAlgorithm::kRTreeProbe);
-}
-
-void BM_JoinKernelPlaneSweep(benchmark::State& state) {
-  RunKernelJoin(state, core::LocalJoinAlgorithm::kPlaneSweep);
-}
-
-BENCHMARK(BM_JoinKernelRTreeProbe)->Iterations(1)->Unit(
-    benchmark::kMillisecond);
-BENCHMARK(BM_JoinKernelPlaneSweep)->Iterations(1)->Unit(
-    benchmark::kMillisecond);
 
 // ---------------------------------------------------------------- (f)
 

@@ -25,11 +25,11 @@
 // combined report (scripts/bench.sh redirects it to BENCH_pr8.json), and
 // exits non-zero if an invariant failed: geometry parses exceeding the
 // record-visit bound, or fault-injected output diverging from the clean
-// run. Benchmarks with no baseline row (the fault scenario, against
-// trees that predate the fault subsystem) are still emitted, with
-// baseline fields set to -1. The harness intentionally compiles against
-// older trees (the baseline build in scripts/bench.sh): parse counters
-// report -1 there, and the fault scenario drops out via __has_include.
+// run. Benchmarks with no baseline row are still emitted, with baseline
+// fields set to -1. The harness compiles against the baseline tree too
+// (scripts/bench.sh copies it into the baseline build), and every
+// baseline that script builds has the parse counters and every
+// subsystem a scenario uses, so all scenarios run on both sides.
 
 #include <algorithm>
 #include <chrono>
@@ -44,34 +44,15 @@
 #include <string>
 #include <vector>
 
+#include "catalog/dataset_catalog.h"
 #include "core/range_query.h"
 #include "core/spatial_join.h"
+#include "fault/fault_injector.h"
 #include "index/index_builder.h"
 #include "index/record_shape.h"
 #include "mapreduce/job_runner.h"
-#include "workload/generators.h"
-
-#if __has_include("fault/fault_injector.h")
-#include "fault/fault_injector.h"
-#define SHADOOP_HAS_FAULT_INJECTION 1
-#endif
-
-#if __has_include("catalog/dataset_catalog.h")
-#include "catalog/dataset_catalog.h"
-#define SHADOOP_HAS_CATALOG 1
-#endif
-
-#if __has_include("server/query_server.h")
 #include "server/query_server.h"
-#define SHADOOP_HAS_SERVER 1
-#endif
-
-// The planning scenario needs both the query server (sessions, admission
-// seeds) and the cost-based optimizer; baselines that predate either
-// simply skip it.
-#if defined(SHADOOP_HAS_SERVER) && __has_include("optimizer/optimizer.h")
-#define SHADOOP_HAS_OPTIMIZER 1
-#endif
+#include "workload/generators.h"
 
 namespace shadoop {
 namespace {
@@ -107,21 +88,10 @@ double MsSince(std::chrono::steady_clock::time_point start) {
 }
 
 int64_t ParseDelta(uint64_t before) {
-#ifdef SHADOOP_HAS_PARSE_COUNTERS
   return static_cast<int64_t>(index::GeometryParseCount() - before);
-#else
-  (void)before;
-  return -1;
-#endif
 }
 
-uint64_t ParseSnapshot() {
-#ifdef SHADOOP_HAS_PARSE_COUNTERS
-  return index::GeometryParseCount();
-#else
-  return 0;
-#endif
-}
+uint64_t ParseSnapshot() { return index::GeometryParseCount(); }
 
 /// The benchmark cluster mirrors bench_common.h: 64 KiB blocks, 25
 /// slots, so datasets span hundreds of blocks.
@@ -276,7 +246,6 @@ BenchResult BenchSpatialJoin(int reps) {
   return result;
 }
 
-#ifdef SHADOOP_HAS_FAULT_INJECTION
 BenchResult BenchFaultRecovery(int reps) {
   BenchResult result;
   result.name = "fault_recovery";
@@ -340,9 +309,7 @@ BenchResult BenchFaultRecovery(int reps) {
       static_cast<int64_t>(gen.count) * static_cast<int64_t>(queries.size());
   return result;
 }
-#endif  // SHADOOP_HAS_FAULT_INJECTION
 
-#ifdef SHADOOP_HAS_CATALOG
 // Incremental ingest through the versioned catalog: bulk-build a base
 // STR index, then append three 20k-point batches (skewed, gaussian,
 // uniform — each triggers routing, copy-on-write delta rewrites and,
@@ -438,9 +405,7 @@ BenchResult BenchIncrementalIngest(int reps) {
   result.records = total_records;
   return result;
 }
-#endif  // SHADOOP_HAS_CATALOG
 
-#ifdef SHADOOP_HAS_SERVER
 constexpr size_t kServerPoints = 100000;
 constexpr int kServerSessions = 5;
 
@@ -619,9 +584,7 @@ BenchResult BenchServerSaturation(int reps) {
                    static_cast<int64_t>(kServerSessions) * 6;
   return result;
 }
-#endif  // SHADOOP_HAS_SERVER
 
-#ifdef SHADOOP_HAS_OPTIMIZER
 constexpr size_t kPlanPoints = 30000;
 constexpr size_t kPlanPolygons = 4000;
 constexpr size_t kPlanSkewPoints = 20000;
@@ -749,7 +712,6 @@ BenchResult BenchOptimizerPlanning(int reps) {
   result.checksum = static_cast<int64_t>(base.checksum & 0x1fffffffffffffULL);
   return result;
 }
-#endif  // SHADOOP_HAS_OPTIMIZER
 
 // ---------------------------------------------------------------------
 // Ad-hoc JSON (one benchmark object per line, so the merge mode can
@@ -894,21 +856,14 @@ int RunAll(const std::string& label, const std::string& out_path, int reps,
            const std::string& only) {
   std::vector<BenchResult> results;
   using NamedBench = std::pair<const char*, BenchResult (*)(int)>;
-  std::vector<NamedBench> benches = {{"index_build", &BenchIndexBuild},
-                                     {"range_query", &BenchRangeQuery},
-                                     {"spatial_join", &BenchSpatialJoin}};
-#ifdef SHADOOP_HAS_FAULT_INJECTION
-  benches.push_back({"fault_recovery", &BenchFaultRecovery});
-#endif
-#ifdef SHADOOP_HAS_CATALOG
-  benches.push_back({"incremental_ingest", &BenchIncrementalIngest});
-#endif
-#ifdef SHADOOP_HAS_SERVER
-  benches.push_back({"server_saturation", &BenchServerSaturation});
-#endif
-#ifdef SHADOOP_HAS_OPTIMIZER
-  benches.push_back({"optimizer_planning", &BenchOptimizerPlanning});
-#endif
+  const std::vector<NamedBench> benches = {
+      {"index_build", &BenchIndexBuild},
+      {"range_query", &BenchRangeQuery},
+      {"spatial_join", &BenchSpatialJoin},
+      {"fault_recovery", &BenchFaultRecovery},
+      {"incremental_ingest", &BenchIncrementalIngest},
+      {"server_saturation", &BenchServerSaturation},
+      {"optimizer_planning", &BenchOptimizerPlanning}};
   for (const NamedBench& bench : benches) {
     if (!only.empty() && only != bench.first) continue;
     const BenchResult r = bench.second(reps);

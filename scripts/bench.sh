@@ -4,16 +4,16 @@
 # tree, once in a detached worktree of the baseline ref (default:
 # HEAD~1) with the same harness source copied in — runs both with
 # identical fixed seeds, and merges the two reports into BENCH_pr9.json.
-# Besides the zero-copy benchmarks, the current tree also runs the
+# Besides the zero-copy benchmarks, the harness also runs the
 # fault-recovery scenario (5% task failures + stragglers), the
 # incremental-ingest scenario (catalog appends vs a full rebuild), the
 # server-saturation scenario (concurrent tenant sessions through the
 # query server, reporting simulated p50/p99 request latencies), and the
 # optimizer-planning scenario (cost-based join/range/index planning,
 # whose row checksum pins every EXPLAIN plan line and must be identical
-# across reruns and admission seeds); baselines that predate the fault,
-# catalog, server or optimizer subsystems simply skip them (the merge
-# emits those rows with baseline -1).
+# across reruns and admission seeds). The harness compiles only against
+# trees that have all of those subsystems (the default baseline and
+# anything later), so both sides run every scenario.
 #
 # Fails if the parse-once invariant is violated (geometry parses exceed
 # the record-visit bound of any benchmark in the current tree) or if the
@@ -39,9 +39,8 @@ rm -rf "${BASELINE_DIR}"
 git worktree add --detach "${BASELINE_DIR}" "${BASELINE_REF}"
 trap 'git worktree remove --force "'"${BASELINE_DIR}"'" 2>/dev/null || true' EXIT
 
-# The harness itself rides along: it compiles against trees without the
-# parse counters (reporting parses as -1), so the baseline needs only
-# the source file and a target registration.
+# The harness itself rides along: the baseline needs only the source
+# file and a target registration.
 cp bench/bench_hotpath.cc "${BASELINE_DIR}/bench/"
 if ! grep -q bench_hotpath "${BASELINE_DIR}/bench/CMakeLists.txt"; then
   cat >> "${BASELINE_DIR}/bench/CMakeLists.txt" <<'EOF'

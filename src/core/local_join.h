@@ -9,21 +9,15 @@
 
 namespace shadoop::core {
 
-/// In-memory overlap-join kernels used inside join tasks (one partition
-/// pair or one SJMR cell at a time). Both find every pair of entries with
-/// intersecting boxes; they differ in memory/CPU profile:
-///  - kRTreeProbe: bulk-load an R-tree on the left side, probe with each
-///    right entry. Wins when one side is much smaller or reusable.
-///  - kPlaneSweep: sort both sides by min-x and sweep. No index memory;
-///    wins on similar-size inputs with limited overlap.
-enum class LocalJoinAlgorithm { kRTreeProbe, kPlaneSweep };
-
-/// Invokes `emit(payload_a, payload_b)` for every intersecting pair.
-/// Returns the charged CPU operations for the cost model.
+/// The in-memory overlap-join kernel used inside join tasks (one
+/// partition pair or one SJMR cell at a time): bulk-loads a packed
+/// R-tree on `entries_a` and probes it with each entry of `entries_b`.
+/// Invokes `emit(payload_a, payload_b)` for every pair of entries with
+/// intersecting boxes. Returns the charged CPU operations for the cost
+/// model.
 uint64_t LocalJoinPairs(
     const std::vector<index::RTree::Entry>& entries_a,
     const std::vector<index::RTree::Entry>& entries_b,
-    LocalJoinAlgorithm algorithm,
     const std::function<void(uint32_t, uint32_t)>& emit);
 
 }  // namespace shadoop::core

@@ -235,12 +235,6 @@ SpatialJobBuilder& SpatialJobBuilder::WithFaultInjector(
   return *this;
 }
 
-SpatialJobBuilder& SpatialJobBuilder::WithFaultSource(
-    fault::FaultInjector* source) {
-  fault_source_ = source;
-  return *this;
-}
-
 SpatialJobBuilder& SpatialJobBuilder::MaxTaskAttempts(int attempts) {
   max_task_attempts_ = attempts;
   return *this;
@@ -259,7 +253,6 @@ Result<mapreduce::JobResult> SpatialJobBuilder::Run(OpStats* stats) {
   job.reducer = reducer_;
   job.partitioner = partitioner_;
   job.fault_injector = fault_injector_;
-  job.fault_source = fault_source_;
   job.output_path = output_path_;
   job.max_task_attempts = max_task_attempts_;
   if (parallel_merge_) {

@@ -231,11 +231,6 @@ class SpatialJobBuilder {
 
   SpatialJobBuilder& WithFaultInjector(mapreduce::FaultInjector injector);
 
-  /// Deterministic fault source for this job's task scheduler (overrides
-  /// the runner-level injector installed via JobRunner::set_fault_injector).
-  /// Not owned; null is the default (no override).
-  SpatialJobBuilder& WithFaultSource(fault::FaultInjector* source);
-
   SpatialJobBuilder& MaxTaskAttempts(int attempts);
 
   // ------------------------------------------------------------------
@@ -263,7 +258,6 @@ class SpatialJobBuilder {
   mapreduce::ReducerFactory reducer_;
   mapreduce::Partitioner partitioner_;
   mapreduce::FaultInjector fault_injector_;
-  fault::FaultInjector* fault_source_ = nullptr;
   int num_reducers_ = 1;
   bool parallel_merge_ = false;
   std::string output_path_;

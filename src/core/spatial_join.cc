@@ -6,6 +6,7 @@
 #include "common/string_util.h"
 #include "core/file_mbr.h"
 #include "core/histogram_op.h"
+#include "core/local_join.h"
 #include "core/query_pipeline.h"
 #include "core/spatial_record_reader.h"
 #include "geometry/wkt.h"
@@ -38,31 +39,29 @@ bool JoinMatch(SpatialRecordReader& reader_a, uint32_t pa,
   return true;
 }
 
-/// Joins two record sets with the selected in-memory kernel. Emits
-/// matched pairs that pass `accept_ref` (the duplicate-avoidance
-/// predicate over the pair's reference point). Returns charged CPU ops.
-/// `flip_output` emits the second reader's record first — callers that
-/// swapped their inputs to move the build side use it to keep the output
-/// line format (original A record, separator, B record).
+/// Joins the records of two readers with the in-memory kernel, the
+/// kernel building on `reader_a`. Emits matched pairs that pass
+/// `accept_ref` (the duplicate-avoidance predicate over the pair's
+/// reference point). Returns charged CPU ops. `flip_output` emits the
+/// second reader's record first — callers that swapped their inputs to
+/// move the build side use it to keep the output line format (original
+/// A record, separator, B record).
 uint64_t LocalJoin(SpatialRecordReader& reader_a,
-                   const std::vector<index::RTree::Entry>& entries_a,
                    SpatialRecordReader& reader_b,
-                   const std::vector<index::RTree::Entry>& entries_b,
-                   LocalJoinAlgorithm algorithm,
                    const std::function<bool(const Point&)>& accept_ref,
                    const std::function<void(std::string)>& emit,
                    bool flip_output = false) {
-  // Payload -> envelope lookup (payloads index records(), but entries may
-  // skip malformed records, so positions and payloads differ).
-  std::vector<Envelope> env_of_a(reader_a.NumRecords());
-  for (const index::RTree::Entry& e : entries_a) env_of_a[e.payload] = e.box;
-  std::vector<Envelope> env_of_b(reader_b.NumRecords());
-  for (const index::RTree::Entry& e : entries_b) env_of_b[e.payload] = e.box;
+  const std::vector<index::RTree::Entry> entries_a = reader_a.Envelopes();
+  const std::vector<index::RTree::Entry> entries_b = reader_b.Envelopes();
+  // Envelopes() reads the memoized envelope column, so an entry's box is
+  // its record's slot there. Payloads index records() — not entry
+  // positions, which skip malformed records — and so does the column.
+  const std::vector<Envelope>& env_of_a = reader_a.envelope_column().values;
+  const std::vector<Envelope>& env_of_b = reader_b.envelope_column().values;
 
   uint64_t refine_cpu = 0;
   const uint64_t kernel_cpu = LocalJoinPairs(
-      entries_a, entries_b, algorithm,
-      [&](uint32_t pa, uint32_t pb) {
+      entries_a, entries_b, [&](uint32_t pa, uint32_t pb) {
         const Envelope& env_a = env_of_a[pa];
         const Envelope& env_b = env_of_b[pb];
         const Point ref = env_a.Intersection(env_b).BottomLeft();
@@ -129,12 +128,8 @@ class SjmrMapper : public mapreduce::Mapper {
 class SjmrReducer : public mapreduce::Reducer {
  public:
   SjmrReducer(index::ShapeType shape_a, index::ShapeType shape_b,
-              std::shared_ptr<const index::Partitioner> grid,
-              LocalJoinAlgorithm algorithm)
-      : shape_a_(shape_a),
-        shape_b_(shape_b),
-        grid_(std::move(grid)),
-        algorithm_(algorithm) {}
+              std::shared_ptr<const index::Partitioner> grid)
+      : shape_a_(shape_a), shape_b_(shape_b), grid_(std::move(grid)) {}
 
   void Reduce(const std::string& key, const std::vector<std::string>& values,
               mapreduce::ReduceContext& ctx) override {
@@ -164,8 +159,7 @@ class SjmrReducer : public mapreduce::Reducer {
     // top/right edge accept their closed boundary (no neighbour exists
     // there to double-report).
     uint64_t cpu = LocalJoin(
-        reader_a, reader_a.Envelopes(), reader_b, reader_b.Envelopes(),
-        algorithm_,
+        reader_a, reader_b,
         [this, &cell](const Point& ref) { return AcceptRef(cell, ref); },
         [&ctx](std::string line) {
           ctx.Write(std::move(line));
@@ -191,7 +185,6 @@ class SjmrReducer : public mapreduce::Reducer {
   index::ShapeType shape_a_;
   index::ShapeType shape_b_;
   std::shared_ptr<const index::Partitioner> grid_;
-  LocalJoinAlgorithm algorithm_;
   double grid_space_max_x_ = std::numeric_limits<double>::infinity();
   double grid_space_max_y_ = std::numeric_limits<double>::infinity();
 };
@@ -204,11 +197,10 @@ class SjmrReducer : public mapreduce::Reducer {
 class DjMapper : public PairPartitionMapper {
  public:
   DjMapper(index::ShapeType shape_a, index::ShapeType shape_b, bool dedup_a,
-           bool dedup_b, LocalJoinAlgorithm algorithm, bool build_right)
+           bool dedup_b, bool build_right)
       : PairPartitionMapper(shape_a, shape_b),
         dedup_a_(dedup_a),
         dedup_b_(dedup_b),
-        algorithm_(algorithm),
         build_right_(build_right) {}
 
  protected:
@@ -237,19 +229,16 @@ class DjMapper : public PairPartitionMapper {
     // reference point and the match predicate are symmetric, so the same
     // pairs come out either way.
     const uint64_t cpu =
-        build_right_
-            ? LocalJoin(view_b.reader(), view_b.Envelopes(), view_a.reader(),
-                        view_a.Envelopes(), algorithm_, accept, write,
-                        /*flip_output=*/true)
-            : LocalJoin(view_a.reader(), view_a.Envelopes(), view_b.reader(),
-                        view_b.Envelopes(), algorithm_, accept, write);
+        build_right_ ? LocalJoin(view_b.reader(), view_a.reader(), accept,
+                                 write, /*flip_output=*/true)
+                     : LocalJoin(view_a.reader(), view_b.reader(), accept,
+                                 write);
     ctx.ChargeCpu(cpu);
   }
 
  private:
   bool dedup_a_;
   bool dedup_b_;
-  LocalJoinAlgorithm algorithm_;
   bool build_right_;
 };
 
@@ -316,7 +305,6 @@ Result<std::vector<std::string>> SjmrJoin(mapreduce::JobRunner* runner,
   std::shared_ptr<const index::Partitioner> grid_const = grid;
   const double space_max_x = space.max_x();
   const double space_max_y = space.max_y();
-  const LocalJoinAlgorithm algorithm = options.local_algorithm;
   SHADOOP_ASSIGN_OR_RETURN(
       JobResult result,
       SpatialJobBuilder(runner)
@@ -327,10 +315,9 @@ Result<std::vector<std::string>> SjmrJoin(mapreduce::JobRunner* runner,
             return std::make_unique<SjmrMapper>(shape_a, shape_b, grid_const);
           })
           .Reduce(
-              [shape_a, shape_b, grid_const, space_max_x, space_max_y,
-               algorithm]() {
+              [shape_a, shape_b, grid_const, space_max_x, space_max_y]() {
                 auto reducer = std::make_unique<SjmrReducer>(
-                    shape_a, shape_b, grid_const, algorithm);
+                    shape_a, shape_b, grid_const);
                 reducer->SetSpaceMax(space_max_x, space_max_y);
                 return reducer;
               },
@@ -352,17 +339,15 @@ Result<std::vector<std::string>> DistributedJoin(
   const index::ShapeType shape_b = file_b.shape;
   const bool dedup_a = file_a.global_index.IsDisjoint();
   const bool dedup_b = file_b.global_index.IsDisjoint();
-  const LocalJoinAlgorithm algorithm = options.local_algorithm;
   const bool build_right = options.build_right;
   SHADOOP_ASSIGN_OR_RETURN(
       JobResult result,
       SpatialJobBuilder(runner)
           .Name("distributed-join")
           .ScanPartitionPairs(file_a, file_b, pairs)
-          .Map([shape_a, shape_b, dedup_a, dedup_b, algorithm,
-                build_right]() {
+          .Map([shape_a, shape_b, dedup_a, dedup_b, build_right]() {
             return std::make_unique<DjMapper>(shape_a, shape_b, dedup_a,
-                                              dedup_b, algorithm, build_right);
+                                              dedup_b, build_right);
           })
           .Run(stats));
   return std::move(result.output);

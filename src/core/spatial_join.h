@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "core/local_join.h"
 #include "core/op_stats.h"
 #include "index/index_builder.h"
 #include "mapreduce/job_runner.h"
@@ -33,9 +32,6 @@ struct SjmrOptions {
 
   /// Histogram resolution (cells per axis) for the balanced variant.
   int histogram_resolution = 64;
-
-  /// In-memory join kernel used inside each reduce cell.
-  LocalJoinAlgorithm local_algorithm = LocalJoinAlgorithm::kRTreeProbe;
 };
 
 /// SJMR — the Hadoop baseline for *unindexed* inputs: computes both file
@@ -52,9 +48,6 @@ Result<std::vector<std::string>> SjmrJoin(mapreduce::JobRunner* runner,
                                           const SjmrOptions& options = {});
 
 struct DjOptions {
-  /// In-memory join kernel used inside each pair task.
-  LocalJoinAlgorithm local_algorithm = LocalJoinAlgorithm::kRTreeProbe;
-
   /// Build the in-memory structure on the B side of each pair and probe
   /// with A (the kernel builds on its first input). Probing charges 5x
   /// what building does per entry-level, so the optimizer builds on the

@@ -268,10 +268,6 @@ std::vector<Polygon> SpatialRecordReader::Polygons() {
   return polygons;
 }
 
-index::RTree SpatialRecordReader::BuildLocalIndex() {
-  return index::RTree(Envelopes());
-}
-
 const Envelope* SpatialRecordReader::EnvelopeAt(size_t i) {
   EnsureEnvelopeColumn();
   if (i >= records_.size() || !envelope_column_->valid[i]) return nullptr;

@@ -19,8 +19,9 @@ namespace shadoop::core {
 
 /// The SpatialRecordReader of the MapReduce layer: map functions feed it
 /// the raw records of their partition and it exposes typed geometry views
-/// and a bulk-loaded local index. Malformed records are counted, not
-/// fatal (HDFS text files routinely contain stray lines).
+/// and the envelope entries a local index is bulk-loaded from
+/// (PartitionView::LocalIndex). Malformed records are counted, not fatal
+/// (HDFS text files routinely contain stray lines).
 ///
 /// Storage is zero-copy: records are `std::string_view`s — either
 /// borrowed from the caller (AddBorrowed, used on the runner's pinned
@@ -70,8 +71,8 @@ class SpatialRecordReader {
   void Clear();
 
   /// True when the partition carried a persisted local index, so
-  /// Envelopes()/BuildLocalIndex() need no geometry parsing. Callers use
-  /// this to charge the cost model less CPU.
+  /// Envelopes() needs no geometry parsing. Callers use this to charge
+  /// the cost model less CPU.
   bool has_local_index() const {
     return preparsed_envelopes_ != nullptr &&
            preparsed_envelopes_->size() == records_.size() &&
@@ -96,12 +97,6 @@ class SpatialRecordReader {
   /// path uses this to keep bad-record accounting identical without
   /// materializing the entry vector.
   void CountEnvelopeBad();
-
-  /// Bulk-loads the local R-tree over the record envelopes. The returned
-  /// `visited` counts from RTree::Search should be fed to
-  /// MapContext::ChargeCpu so the cost model sees the local index's CPU
-  /// savings.
-  index::RTree BuildLocalIndex();
 
   // ------------------------------------------------------------------
   // Parse-once column access. Unlike the vector accessors above, these

@@ -66,38 +66,6 @@ PackedRTree::PackedRTree(const std::vector<RTree::Entry>& entries,
   BuildNodes(n);
 }
 
-PackedRTree::PackedRTree(const RTree& tree) : capacity_(tree.capacity_) {
-  const size_t n = tree.entries_.size();
-  entry_min_x_.resize(n);
-  entry_min_y_.resize(n);
-  entry_max_x_.resize(n);
-  entry_max_y_.resize(n);
-  entry_payload_.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    const RTree::Entry& entry = tree.entries_[i];
-    entry_min_x_[i] = entry.box.min_x();
-    entry_min_y_[i] = entry.box.min_y();
-    entry_max_x_[i] = entry.box.max_x();
-    entry_max_y_[i] = entry.box.max_y();
-    entry_payload_[i] = entry.payload;
-  }
-  const size_t m = tree.nodes_.size();
-  node_min_x_.resize(m);
-  node_min_y_.resize(m);
-  node_max_x_.resize(m);
-  node_max_y_.resize(m);
-  node_meta_.resize(m);
-  for (size_t i = 0; i < m; ++i) {
-    node_min_x_[i] = tree.nodes_[i].box.min_x();
-    node_min_y_[i] = tree.nodes_[i].box.min_y();
-    node_max_x_[i] = tree.nodes_[i].box.max_x();
-    node_max_y_[i] = tree.nodes_[i].box.max_y();
-    node_meta_[i] = {tree.nodes_[i].first, tree.nodes_[i].last,
-                     tree.nodes_[i].is_leaf};
-  }
-  root_ = tree.root_;
-}
-
 void PackedRTree::BuildNodes(size_t n) {
   auto push_node = [this](const Envelope& box, uint32_t first, uint32_t last,
                           bool is_leaf) {

@@ -9,7 +9,7 @@
 
 namespace shadoop::index {
 
-/// Cache-packed, read-only flattening of the STR R-tree: node and entry
+/// Cache-packed, read-only layout of the STR R-tree: node and entry
 /// boxes live in contiguous SoA lanes (separate min-x / min-y / max-x /
 /// max-y arrays) so Search tests a whole node's children with one batch
 /// MBR kernel call (simd::IntersectBoxBitmap) instead of a per-child
@@ -32,10 +32,6 @@ class PackedRTree {
   /// RTree(entries, leaf_capacity).
   explicit PackedRTree(const std::vector<RTree::Entry>& entries,
                        int leaf_capacity = 32);
-
-  /// Flattens an already-built RTree (used by the parity suite as the
-  /// by-construction-identical reference, and by callers that hold one).
-  explicit PackedRTree(const RTree& tree);
 
   size_t NumEntries() const { return entry_payload_.size(); }
   bool IsEmpty() const { return entry_payload_.empty(); }

@@ -10,10 +10,6 @@
 #include "geometry/point.h"
 #include "geometry/polygon.h"
 
-/// Feature-test macro for the parse-accounting API below; lets benchmark
-/// sources compile against trees that predate it.
-#define SHADOOP_HAS_PARSE_COUNTERS 1
-
 namespace shadoop::index {
 
 /// Geometry encodings of the text record formats stored in HDFS files.

@@ -55,9 +55,6 @@ class RTree {
   std::vector<Node> nodes_;  // nodes_[root_] is the root when non-empty.
   uint32_t root_ = 0;
   int capacity_ = 32;
-
-  // PackedRTree flattens this tree's arrays into SoA lanes.
-  friend class PackedRTree;
 };
 
 }  // namespace shadoop::index

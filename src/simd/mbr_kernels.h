@@ -46,9 +46,10 @@ void BoxMinDistance(const BoxLanes& boxes, size_t n, double px, double py,
                     double* out);
 
 /// Length of the leading run of `values` (ascending) with value <= limit.
-/// Exactly the plane-sweep inner-loop advance: the scan stops at the
+/// This is a plane sweep's inner-loop advance: the scan stops at the
 /// first element greater than `limit`. Works on any array, but only a
-/// sorted one makes the result a prefix of the candidates.
+/// sorted one makes the result a prefix of the candidates. Nothing in
+/// src/ calls it; perfbench's join ledger times it.
 size_t PrefixCountLessEqual(const double* values, size_t n, double limit);
 
 /// Per-target entry points, exposed so parity tests can pin every

@@ -6,6 +6,7 @@
 #include "core/spatial_file_splitter.h"
 #include "core/spatial_record_reader.h"
 #include "geometry/wkt.h"
+#include "index/packed_rtree.h"
 #include "test_util.h"
 
 namespace shadoop::core {
@@ -91,7 +92,7 @@ TEST(SpatialRecordReaderTest, TypedViewsAndBadRecordCounting) {
   EXPECT_EQ(entries[1].payload, 2u);
   EXPECT_EQ(reader.records()[entries[1].payload], "3,4");
 
-  const index::RTree local = reader.BuildLocalIndex();
+  const index::PackedRTree local(reader.Envelopes());
   std::vector<uint32_t> hits;
   local.Search(Envelope(0, 0, 2, 3), &hits);
   EXPECT_EQ(hits, std::vector<uint32_t>{0});

@@ -308,7 +308,6 @@ TEST(PackedRTreeParityTest, SearchMatchesRTreeExactly) {
       const std::vector<index::RTree::Entry> entries = MakeEntries(n, &rng);
       const index::RTree reference(entries, capacity);
       const index::PackedRTree packed(entries, capacity);
-      const index::PackedRTree flattened(reference);
       EXPECT_EQ(packed.NumEntries(), reference.NumEntries());
       EXPECT_EQ(packed.Bounds().ToString(), reference.Bounds().ToString());
       for (int qi = 0; qi < 50; ++qi) {
@@ -316,15 +315,13 @@ TEST(PackedRTreeParityTest, SearchMatchesRTreeExactly) {
         const double y = rng.NextDouble(-50, 1050);
         const Envelope query(x, y, x + rng.NextDouble(0, 120),
                              y + rng.NextDouble(0, 120));
-        std::vector<uint32_t> expected_hits, packed_hits, flat_hits;
+        std::vector<uint32_t> expected_hits, packed_hits;
         const size_t expected_visited =
             reference.Search(query, &expected_hits);
         // Same payloads in the same order, same visited count (the
-        // CPU-cost proxy), for both construction paths.
+        // CPU-cost proxy).
         EXPECT_EQ(packed.Search(query, &packed_hits), expected_visited);
         EXPECT_EQ(packed_hits, expected_hits);
-        EXPECT_EQ(flattened.Search(query, &flat_hits), expected_visited);
-        EXPECT_EQ(flat_hits, expected_hits);
       }
       // Empty query never matches and never visits.
       std::vector<uint32_t> hits;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "core/local_join.h"
 #include "core/spatial_join.h"
 #include "geometry/wkt.h"
 #include "test_util.h"
@@ -152,7 +153,7 @@ TEST(SpatialJoinTest, PolygonJoinRefinesWithExactTest) {
   EXPECT_EQ(pair.second, ToWkt(t4));
 }
 
-TEST(LocalJoinTest, KernelsFindIdenticalPairs) {
+TEST(LocalJoinTest, ProbeMatchesNestedLoop) {
   Random rng(44);
   std::vector<index::RTree::Entry> a;
   std::vector<index::RTree::Entry> b;
@@ -170,61 +171,92 @@ TEST(LocalJoinTest, KernelsFindIdenticalPairs) {
                           y + rng.NextDouble(0, 3)),
                  i});
   }
-  std::multiset<std::pair<uint32_t, uint32_t>> rtree_pairs;
-  std::multiset<std::pair<uint32_t, uint32_t>> sweep_pairs;
-  LocalJoinPairs(a, b, LocalJoinAlgorithm::kRTreeProbe,
-                 [&](uint32_t pa, uint32_t pb) {
-                   rtree_pairs.insert({pa, pb});
-                 });
-  LocalJoinPairs(a, b, LocalJoinAlgorithm::kPlaneSweep,
-                 [&](uint32_t pa, uint32_t pb) {
-                   sweep_pairs.insert({pa, pb});
-                 });
-  EXPECT_EQ(rtree_pairs, sweep_pairs);
-  EXPECT_FALSE(rtree_pairs.empty());
+  std::multiset<std::pair<uint32_t, uint32_t>> probe_pairs;
+  LocalJoinPairs(a, b, [&](uint32_t pa, uint32_t pb) {
+    probe_pairs.insert({pa, pb});
+  });
+  std::multiset<std::pair<uint32_t, uint32_t>> expected;
+  for (const index::RTree::Entry& ea : a) {
+    for (const index::RTree::Entry& eb : b) {
+      if (ea.box.Intersects(eb.box)) expected.insert({ea.payload, eb.payload});
+    }
+  }
+  EXPECT_EQ(probe_pairs, expected);
+  EXPECT_FALSE(probe_pairs.empty());
 }
 
 TEST(LocalJoinTest, EmptySidesYieldNothing) {
   std::vector<index::RTree::Entry> some = {{Envelope(0, 0, 1, 1), 0}};
-  for (LocalJoinAlgorithm algorithm :
-       {LocalJoinAlgorithm::kRTreeProbe, LocalJoinAlgorithm::kPlaneSweep}) {
-    int emitted = 0;
-    LocalJoinPairs({}, some, algorithm, [&](uint32_t, uint32_t) { ++emitted; });
-    LocalJoinPairs(some, {}, algorithm, [&](uint32_t, uint32_t) { ++emitted; });
-    EXPECT_EQ(emitted, 0);
-  }
+  int emitted = 0;
+  LocalJoinPairs({}, some, [&](uint32_t, uint32_t) { ++emitted; });
+  LocalJoinPairs(some, {}, [&](uint32_t, uint32_t) { ++emitted; });
+  EXPECT_EQ(emitted, 0);
 }
 
-TEST(SpatialJoinTest, PlaneSweepKernelMatchesRTreeInBothJoins) {
+/// `rects` as records with a malformed line before every third one, so
+/// a parseable record's position in the file differs from its position
+/// among the parseable records.
+std::vector<std::string> WithMalformedLines(
+    const std::vector<Envelope>& rects) {
+  std::vector<std::string> lines;
+  const std::vector<std::string> records =
+      workload::RectanglesToRecords(rects);
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (i % 3 == 0) lines.push_back(i % 2 == 0 ? "oops" : "1,not-a-y");
+    lines.push_back(records[i]);
+  }
+  return lines;
+}
+
+TEST(SpatialJoinTest, SjmrSkipsAndCountsMalformedLines) {
   testing::TestCluster cluster;
-  const std::vector<Envelope> a = MakeRects(400, 45, 0.04);
-  const std::vector<Envelope> b = MakeRects(300, 46, 0.04);
+  const std::vector<Envelope> a = MakeRects(400, 47, 0.04);
+  const std::vector<Envelope> b = MakeRects(300, 48, 0.04);
+  ASSERT_TRUE(cluster.fs.WriteLines("/a", WithMalformedLines(a)).ok());
+  ASSERT_TRUE(cluster.fs.WriteLines("/b", WithMalformedLines(b)).ok());
+  OpStats stats;
+  auto result = SjmrJoin(&cluster.runner, "/a", index::ShapeType::kRectangle,
+                         "/b", index::ShapeType::kRectangle, &stats)
+                    .ValueOrDie();
+  EXPECT_EQ(std::multiset<std::string>(result.begin(), result.end()),
+            BruteForceJoin(a, b));
+  // One malformed line per three records on each side (134 + 100).
+  EXPECT_EQ(stats.counters.Get("sjmr.bad_records"), 234);
+}
+
+TEST(SpatialJoinTest, DjJoinsPartitionsWithMalformedLines) {
+  // One partition per side, so rewriting each data file as a single
+  // block keeps every global-index entry valid. The map tasks then see
+  // the malformed lines, and the join's entries skip them.
+  testing::TestCluster cluster(/*block_size=*/64 * 1024);
+  const std::vector<Envelope> a = MakeRects(60, 49, 0.2);
+  const std::vector<Envelope> b = MakeRects(50, 50, 0.2);
   ASSERT_TRUE(
       cluster.fs.WriteLines("/a", workload::RectanglesToRecords(a)).ok());
   ASSERT_TRUE(
       cluster.fs.WriteLines("/b", workload::RectanglesToRecords(b)).ok());
-  const auto expected = BruteForceJoin(a, b);
-
-  SjmrOptions sjmr_options;
-  sjmr_options.local_algorithm = LocalJoinAlgorithm::kPlaneSweep;
-  auto sjmr = SjmrJoin(&cluster.runner, "/a", index::ShapeType::kRectangle,
-                       "/b", index::ShapeType::kRectangle, nullptr,
-                       sjmr_options)
-                  .ValueOrDie();
-  EXPECT_EQ(std::multiset<std::string>(sjmr.begin(), sjmr.end()), expected);
-
-  const auto file_a =
+  index::SpatialFileInfo file_a =
       testing::BuildIndex(&cluster.runner, "/a", "/a.idx",
                           PartitionScheme::kGrid, index::ShapeType::kRectangle);
-  const auto file_b =
+  index::SpatialFileInfo file_b =
       testing::BuildIndex(&cluster.runner, "/b", "/b.idx",
                           PartitionScheme::kGrid, index::ShapeType::kRectangle);
-  DjOptions dj_options;
-  dj_options.local_algorithm = LocalJoinAlgorithm::kPlaneSweep;
-  auto dj = DistributedJoin(&cluster.runner, file_a, file_b, nullptr,
-                            dj_options)
-                .ValueOrDie();
-  EXPECT_EQ(std::multiset<std::string>(dj.begin(), dj.end()), expected);
+  ASSERT_EQ(file_a.global_index.partitions().size(), 1u);
+  ASSERT_EQ(file_b.global_index.partitions().size(), 1u);
+  ASSERT_TRUE(cluster.fs.WriteLines("/a.bad", WithMalformedLines(a)).ok());
+  ASSERT_TRUE(cluster.fs.WriteLines("/b.bad", WithMalformedLines(b)).ok());
+  file_a.data_path = "/a.bad";
+  file_b.data_path = "/b.bad";
+  for (bool build_right : {false, true}) {
+    DjOptions options;
+    options.build_right = build_right;
+    auto result = DistributedJoin(&cluster.runner, file_a, file_b, nullptr,
+                                  options)
+                      .ValueOrDie();
+    EXPECT_EQ(std::multiset<std::string>(result.begin(), result.end()),
+              BruteForceJoin(a, b))
+        << "build_right=" << build_right;
+  }
 }
 
 TEST(SpatialJoinTest, JoinOutputCodecRoundTrips) {

@@ -9,6 +9,7 @@
 #include "core/spatial_record_reader.h"
 #include "geometry/wkt.h"
 #include "hdfs/block_arena.h"
+#include "index/packed_rtree.h"
 #include "index/record_shape.h"
 #include "mapreduce/thread_pool.h"
 #include "test_util.h"
@@ -98,7 +99,7 @@ TEST(SpatialRecordReaderTest, GeometryIsParsedOncePerRecord) {
   // bulk load — reads the memoized columns.
   const auto second = reader.Envelopes();
   reader.Points();
-  reader.BuildLocalIndex();
+  index::PackedRTree(reader.Envelopes());
   for (size_t i = 0; i < reader.NumRecords(); ++i) {
     ASSERT_NE(reader.EnvelopeAt(i), nullptr);
     ASSERT_NE(reader.PointAt(i), nullptr);

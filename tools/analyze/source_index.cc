@@ -6,97 +6,18 @@
 #include <fstream>
 #include <sstream>
 
+#include "lint/lint_engine.h"
+
 namespace shadoop::analyze {
 namespace {
 
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
+using lint::BlankCommentsAndLiterals;
+using lint::IsIdentChar;
+using lint::NormalizePath;
+using lint::SplitLines;
 
 bool IsIdentStart(char c) {
   return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
-}
-
-std::string NormalizePath(std::string_view path) {
-  std::string out(path);
-  std::replace(out.begin(), out.end(), '\\', '/');
-  return out;
-}
-
-std::vector<std::string> SplitLines(std::string_view contents) {
-  std::vector<std::string> lines;
-  size_t start = 0;
-  while (start <= contents.size()) {
-    size_t end = contents.find('\n', start);
-    if (end == std::string_view::npos) {
-      if (start < contents.size()) lines.emplace_back(contents.substr(start));
-      break;
-    }
-    lines.emplace_back(contents.substr(start, end - start));
-    start = end + 1;
-  }
-  return lines;
-}
-
-/// Same blanking contract as the lint engine: comment bodies and
-/// string/char-literal contents become spaces so nothing downstream
-/// fires on prose or literals. Block comments carry state across lines;
-/// a string never spans a line break in this codebase.
-std::vector<std::string> BlankCommentsAndLiterals(
-    const std::vector<std::string>& raw) {
-  enum class State { kCode, kBlockComment, kString, kChar };
-  State state = State::kCode;
-  std::vector<std::string> out;
-  out.reserve(raw.size());
-  for (const std::string& line : raw) {
-    std::string code = line;
-    for (size_t i = 0; i < code.size(); ++i) {
-      switch (state) {
-        case State::kCode:
-          if (code[i] == '/' && i + 1 < code.size() && code[i + 1] == '/') {
-            for (size_t j = i; j < code.size(); ++j) code[j] = ' ';
-            i = code.size();
-          } else if (code[i] == '/' && i + 1 < code.size() &&
-                     code[i + 1] == '*') {
-            code[i] = code[i + 1] = ' ';
-            ++i;
-            state = State::kBlockComment;
-          } else if (code[i] == '"') {
-            code[i] = ' ';
-            state = State::kString;
-          } else if (code[i] == '\'') {
-            code[i] = ' ';
-            state = State::kChar;
-          }
-          break;
-        case State::kBlockComment:
-          if (code[i] == '*' && i + 1 < code.size() && code[i + 1] == '/') {
-            code[i] = code[i + 1] = ' ';
-            ++i;
-            state = State::kCode;
-          } else {
-            code[i] = ' ';
-          }
-          break;
-        case State::kString:
-        case State::kChar: {
-          const char quote = state == State::kString ? '"' : '\'';
-          if (code[i] == '\\' && i + 1 < code.size()) {
-            code[i] = code[i + 1] = ' ';
-            ++i;
-          } else {
-            const bool closes = code[i] == quote;
-            code[i] = ' ';
-            if (closes) state = State::kCode;
-          }
-          break;
-        }
-      }
-    }
-    if (state == State::kString || state == State::kChar) state = State::kCode;
-    out.push_back(std::move(code));
-  }
-  return out;
 }
 
 /// Include directives are read from the *raw* lines (the blanked text

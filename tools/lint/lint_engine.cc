@@ -8,15 +8,9 @@
 #include <sstream>
 
 namespace shadoop::lint {
-namespace {
 
 bool IsIdentChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
-
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
 std::string NormalizePath(std::string_view path) {
@@ -24,16 +18,6 @@ std::string NormalizePath(std::string_view path) {
   std::replace(out.begin(), out.end(), '\\', '/');
   return out;
 }
-
-/// One file, preprocessed for rule matching.
-struct FileView {
-  std::string path;  // Normalized to forward slashes.
-  std::vector<std::string> raw;
-  /// `raw` with comment bodies and string/char-literal contents blanked
-  /// to spaces, so rules never fire on prose or literals. Block comments
-  /// and raw strings carry state across lines.
-  std::vector<std::string> code;
-};
 
 std::vector<std::string> SplitLines(std::string_view contents) {
   std::vector<std::string> lines;
@@ -108,6 +92,23 @@ std::vector<std::string> BlankCommentsAndLiterals(
   }
   return out;
 }
+
+namespace {
+
+bool EndsWith(std::string_view s, std::string_view suffix) {
+  return s.size() >= suffix.size() &&
+         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+/// One file, preprocessed for rule matching.
+struct FileView {
+  std::string path;  // Normalized to forward slashes.
+  std::vector<std::string> raw;
+  /// `raw` with comment bodies and string/char-literal contents blanked
+  /// to spaces, so rules never fire on prose or literals. Block comments
+  /// and raw strings carry state across lines.
+  std::vector<std::string> code;
+};
 
 /// `// lint:allow(rule-a, rule-b)` — rules suppressed on this line only.
 std::set<std::string> AllowedRules(const std::string& raw_line) {

@@ -21,6 +21,25 @@
 /// the real tree so `ctest` fails the moment a banned pattern lands.
 namespace shadoop::lint {
 
+// Source scanning shared with the analyzer (tools/analyze), so both
+// tools see the same lines and the same code/comment split.
+
+/// True for characters that can continue a C++ identifier.
+bool IsIdentChar(char c);
+
+/// `path` with backslashes turned into forward slashes.
+std::string NormalizePath(std::string_view path);
+
+/// `contents` split at '\n' (no trailing empty line).
+std::vector<std::string> SplitLines(std::string_view contents);
+
+/// `raw` with comment bodies and string/char-literal contents blanked to
+/// spaces, so nothing downstream fires on prose or literals. Block
+/// comments carry state across lines; a string or char literal never
+/// spans a line break in this codebase.
+std::vector<std::string> BlankCommentsAndLiterals(
+    const std::vector<std::string>& raw);
+
 /// One rule violation at one line.
 struct Finding {
   std::string file;
