@@ -50,16 +50,6 @@ std::string_view StripWhitespace(std::string_view text) {
   return text.substr(begin, end - begin);
 }
 
-std::string JoinStrings(const std::vector<std::string>& parts,
-                        std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out.append(sep);
-    out.append(parts[i]);
-  }
-  return out;
-}
-
 Result<double> ParseDouble(std::string_view text) {
   text = StripWhitespace(text);
   if (text.empty()) return Status::ParseError("empty numeric field");

@@ -47,10 +47,6 @@ std::vector<std::string_view> SplitWhitespace(std::string_view text);
 /// Removes leading and trailing ASCII whitespace.
 std::string_view StripWhitespace(std::string_view text);
 
-/// Joins `parts` with `sep`.
-std::string JoinStrings(const std::vector<std::string>& parts,
-                        std::string_view sep);
-
 /// Locale-independent numeric parsing; errors carry the offending text.
 Result<double> ParseDouble(std::string_view text);
 Result<int64_t> ParseInt64(std::string_view text);

@@ -10,7 +10,7 @@
 #include "core/query_pipeline.h"
 #include "core/spatial_join.h"
 #include "geometry/wkt.h"
-#include "index/rtree.h"
+#include "index/packed_rtree.h"
 
 namespace shadoop::core {
 namespace {
@@ -104,7 +104,7 @@ class VerifyMapper : public KnnJoinMapper {
     const std::vector<Point> a_points = view_a.Points();
     // The B side concatenates several partitions' blocks, so an ad-hoc
     // R-tree is always bulk-loaded here (never the persisted-index path).
-    const index::RTree b_tree(view_b.Envelopes());
+    const index::PackedRTree b_tree(view_b.Envelopes());
     const size_t nb = b_tree.NumEntries();
     ctx.ChargeCpu(static_cast<uint64_t>(
         nb > 1 ? nb * std::log2(static_cast<double>(nb)) * 10 : nb));

@@ -11,9 +11,6 @@ uint64_t LocalJoinPairs(
     const std::vector<index::RTree::Entry>& entries_b,
     const std::function<void(uint32_t, uint32_t)>& emit) {
   uint64_t cpu = 0;
-  // The packed layout searches with batch MBR kernels; results, visit
-  // counts and therefore the simulated charges are identical to the
-  // pointer-chasing RTree it replaces.
   const index::PackedRTree tree(entries_a);
   const size_t n = tree.NumEntries();
   cpu += static_cast<uint64_t>(

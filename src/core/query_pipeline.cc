@@ -224,11 +224,6 @@ SpatialJobBuilder& SpatialJobBuilder::Partition(
   return *this;
 }
 
-SpatialJobBuilder& SpatialJobBuilder::OutputTo(std::string path) {
-  output_path_ = std::move(path);
-  return *this;
-}
-
 SpatialJobBuilder& SpatialJobBuilder::WithFaultInjector(
     mapreduce::FaultInjector injector) {
   fault_injector_ = std::move(injector);
@@ -253,7 +248,6 @@ Result<mapreduce::JobResult> SpatialJobBuilder::Run(OpStats* stats) {
   job.reducer = reducer_;
   job.partitioner = partitioner_;
   job.fault_injector = fault_injector_;
-  job.output_path = output_path_;
   job.max_task_attempts = max_task_attempts_;
   if (parallel_merge_) {
     // Round 1 of the two-round merge: one reducer per ~4 partitions so no

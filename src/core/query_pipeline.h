@@ -85,11 +85,10 @@ class PartitionView {
   /// once (e.g. the join refinement step).
   SpatialRecordReader& reader() { return reader_; }
 
-  /// The memoized local index, in the cache-packed SoA layout (identical
-  /// search results and visited counts to the RTree it replaces). The
-  /// first call bulk-loads it — or adopts a cached build of the same
-  /// block — and charges `ctx` the build cost; later calls are free. The
-  /// simulated charge is identical on cache hit and miss.
+  /// The memoized local index. The first call bulk-loads it — or adopts
+  /// a cached build of the same block — and charges `ctx` the build cost;
+  /// later calls are free. The simulated charge is identical on cache hit
+  /// and miss.
   const index::PackedRTree& LocalIndex(mapreduce::MapContext& ctx);
 
   /// R-tree range search through the memoized index, charging the cost
@@ -226,9 +225,6 @@ class SpatialJobBuilder {
 
   SpatialJobBuilder& Partition(mapreduce::Partitioner partitioner);
 
-  /// Also persists the job output as an HDFS file.
-  SpatialJobBuilder& OutputTo(std::string path);
-
   SpatialJobBuilder& WithFaultInjector(mapreduce::FaultInjector injector);
 
   SpatialJobBuilder& MaxTaskAttempts(int attempts);
@@ -260,7 +256,6 @@ class SpatialJobBuilder {
   mapreduce::FaultInjector fault_injector_;
   int num_reducers_ = 1;
   bool parallel_merge_ = false;
-  std::string output_path_;
   int max_task_attempts_ = 3;
 };
 

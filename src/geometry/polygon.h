@@ -55,8 +55,6 @@ class Polygon {
   std::vector<Point> ring_;
 };
 
-/// Axis-aligned rectangle as a polygon (CCW).
-Polygon MakeRectPolygon(const Envelope& box);
 
 /// Regular n-gon approximation of a circle (CCW).
 Polygon MakeRegularPolygon(const Point& center, double radius, int sides);

@@ -36,10 +36,6 @@ class GlobalIndex {
   /// filter function.
   std::vector<int> OverlappingPartitions(const Envelope& query) const;
 
-  /// Partition whose MBR is nearest to `p` (by MinDistance); -1 if the
-  /// index is empty. Seed partition of the kNN operation.
-  int NearestPartition(const Point& p) const;
-
   /// MinDistance of every partition's MBR to `p`, in partition order —
   /// one batch kernel call, bit-identical to calling
   /// Envelope::MinDistance per partition. The kNN seeding/pruning steps

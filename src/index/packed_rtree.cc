@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <queue>
 
 #include "simd/mbr_kernels.h"
 
@@ -22,10 +23,10 @@ PackedRTree::PackedRTree(const std::vector<RTree::Entry>& entries,
   const size_t n = entries.size();
   if (n == 0) return;
 
-  // STR packing, mirroring RTree's bulk load move for move. Sorting
-  // (key, index) pairs instead of Entry structs yields the identical
-  // permutation: every comparator call sees the same key values in the
-  // same positions, and std::sort's moves depend only on those outcomes.
+  // STR packing: sort by center x, cut into vertical slabs, sort each
+  // slab by center y. Sorting (key, index) pairs instead of Entry structs
+  // yields the same permutation, because std::sort's moves depend only on
+  // comparator outcomes, which see the same keys in the same positions.
   const size_t num_leaves = (n + capacity_ - 1) / capacity_;
   const size_t num_slabs = static_cast<size_t>(
       std::ceil(std::sqrt(static_cast<double>(num_leaves))));
@@ -105,6 +106,15 @@ void PackedRTree::BuildNodes(size_t n) {
   root_ = level.front();
 }
 
+simd::BoxLanes PackedRTree::ChildLanes(const NodeMeta& node) const {
+  const uint32_t f = node.first;
+  return node.is_leaf
+             ? simd::BoxLanes{entry_min_x_.data() + f, entry_min_y_.data() + f,
+                              entry_max_x_.data() + f, entry_max_y_.data() + f}
+             : simd::BoxLanes{node_min_x_.data() + f, node_min_y_.data() + f,
+                              node_max_x_.data() + f, node_max_y_.data() + f};
+}
+
 Envelope PackedRTree::Bounds() const {
   if (node_meta_.empty()) return Envelope();
   return Envelope(node_min_x_[root_], node_min_y_[root_], node_max_x_[root_],
@@ -136,24 +146,12 @@ size_t PackedRTree::Search(const Envelope& query,
     ++visited;
     const uint32_t first = node.first;
     const size_t count = node.last - first;
-    const simd::BoxLanes lanes =
-        node.is_leaf
-            ? simd::BoxLanes{entry_min_x_.data() + first,
-                             entry_min_y_.data() + first,
-                             entry_max_x_.data() + first,
-                             entry_max_y_.data() + first}
-            : simd::BoxLanes{node_min_x_.data() + first,
-                             node_min_y_.data() + first,
-                             node_max_x_.data() + first,
-                             node_max_y_.data() + first};
-    const size_t hits =
-        kernels.intersect_box_bitmap(lanes, count, query.min_x(),
-                                     query.min_y(), query.max_x(),
-                                     query.max_y(), bits);
+    const size_t hits = kernels.intersect_box_bitmap(
+        ChildLanes(node), count, query.min_x(), query.min_y(), query.max_x(),
+        query.max_y(), bits);
     if (hits == 0) continue;
-    // Ascending bit order matches RTree's ascending child loop: pushed
-    // children pop in the same LIFO order, and leaf payloads append in
-    // the same sequence.
+    // Children are pushed and payloads appended in ascending index order,
+    // whatever the target's bitmap width.
     for (size_t w = 0; w < simd::BitmapWords(count); ++w) {
       uint64_t word = bits[w];
       while (word != 0) {
@@ -170,6 +168,44 @@ size_t PackedRTree::Search(const Envelope& query,
     }
   }
   return visited;
+}
+
+std::vector<uint32_t> PackedRTree::NearestNeighbors(const Point& q,
+                                                    size_t k) const {
+  std::vector<uint32_t> result;
+  if (node_meta_.empty() || k == 0) return result;
+  const simd::detail::KernelTable& kernels = simd::ActiveKernels();
+
+  // Best-first search over nodes and entries by MinDistance. A node's
+  // children (or a leaf's entries) are measured with one batch call, then
+  // pushed in ascending index order, so ties pop in an order that depends
+  // only on the entries and the capacity.
+  struct Item {
+    double dist;
+    bool is_entry;
+    uint32_t index;
+  };
+  auto greater = [](const Item& a, const Item& b) { return a.dist > b.dist; };
+  std::priority_queue<Item, std::vector<Item>, decltype(greater)> queue(
+      greater);
+  std::vector<double> dists(static_cast<size_t>(capacity_));
+  queue.push({Bounds().MinDistance(q), false, root_});
+  while (!queue.empty() && result.size() < k) {
+    const Item item = queue.top();
+    queue.pop();
+    if (item.is_entry) {
+      result.push_back(entry_payload_[item.index]);
+      continue;
+    }
+    const NodeMeta node = node_meta_[item.index];
+    const size_t count = node.last - node.first;
+    kernels.box_min_distance(ChildLanes(node), count, q.x, q.y, dists.data());
+    for (size_t i = 0; i < count; ++i) {
+      queue.push({dists[i], node.is_leaf,
+                  node.first + static_cast<uint32_t>(i)});
+    }
+  }
+  return result;
 }
 
 }  // namespace shadoop::index

@@ -15,7 +15,6 @@ Status QuadTreePartitioner::Construct(const Envelope& space,
     return Status::InvalidArgument("target_partitions must be >= 1");
   }
   leaves_.clear();
-  max_depth_reached_ = 0;
   root_ = std::make_unique<Node>();
   root_->box = space;
   const size_t capacity =
@@ -26,7 +25,6 @@ Status QuadTreePartitioner::Construct(const Envelope& space,
 
 void QuadTreePartitioner::Split(Node* node, std::vector<Point> points,
                                 size_t capacity, int depth) {
-  max_depth_reached_ = std::max(max_depth_reached_, depth);
   if (points.size() <= capacity || depth >= kMaxDepth) {
     node->leaf_id = static_cast<int>(leaves_.size());
     leaves_.push_back(node->box);

@@ -14,7 +14,7 @@ namespace {
 double Log2p(double n) { return n > 1 ? std::log2(n) : 1.0; }
 
 /// CPU charge of the in-memory pair kernel: bulk-loading the build side
-/// (10 ops per entry per tree level, the RTreeProbe charge) and probing
+/// (10 ops per entry per tree level, the LocalJoinPairs charge) and probing
 /// with every record of the other side (50 ops per visited level).
 double JoinKernelOps(double build_records, double probe_records) {
   const double levels = Log2p(build_records);

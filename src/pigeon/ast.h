@@ -19,8 +19,7 @@ namespace shadoop::pigeon {
 ///   LOADINDEX '<path>'
 ///   INDEX <name> WITH (AUTO | GRID | STR | STR+ | QUADTREE | KDTREE |
 ///                      ZCURVE | HILBERT) [INTO '<path>']
-///     -- AUTO defers the technique to the partitioning advisor (falls
-///     -- back to STR when the optimizer is off)
+///     -- AUTO defers the technique to the partitioning advisor
 ///   RANGE <name> RECTANGLE(x1, y1, x2, y2)
 ///   COUNT <name> RECTANGLE(x1, y1, x2, y2)
 ///   KNN <name> POINT(x, y) K <k>
@@ -80,8 +79,6 @@ struct Expr {
 ///   SET max_task_attempts <n> ;
 ///   SET snapshot_version <n> ;    -- pin catalog datasets to version n
 ///                                 -- (0 follows the latest version)
-///   SET optimizer (on | off) ;    -- cost-based planning (default on;
-///                                 -- off reproduces the legacy plans)
 struct Statement {
   enum class Kind { kAssign, kStore, kDump, kExplain, kSet };
 

@@ -109,8 +109,6 @@ Status Executor::ExecuteStatement(const Statement& stmt,
         } else if (stmt.target == "MAX_TASK_ATTEMPTS") {
           runner_->set_max_task_attempts_override(
               static_cast<int>(stmt.number));
-        } else if (stmt.target == "OPTIMIZER") {
-          optimizer_on_ = stmt.path == "on";
         } else if (stmt.target == "SNAPSHOT_VERSION") {
           snapshot_version_ = static_cast<uint64_t>(stmt.number);
           // An explicit `SET snapshot_version 0` means "follow the
@@ -215,9 +213,8 @@ Status Executor::ExecuteStatement(const Statement& stmt,
         }
         // The latest plan decision made for this binding, same
         // nonzero-only contract: only operations the optimizer actually
-        // planned (joins, ranges, counts, AUTO index builds with the
-        // optimizer on) add the segment, so every other EXPLAIN stays
-        // byte-identical.
+        // planned (joins, ranges, counts, AUTO index builds) add the
+        // segment, so every other EXPLAIN stays byte-identical.
         for (auto it = plan_log_.rbegin(); it != plan_log_.rend(); ++it) {
           if (it->target != stmt.target) continue;
           line += "; plan: " + optimizer::FormatDecision(*it);
@@ -374,7 +371,7 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
     case Expr::Kind::kCount: {
       SHADOOP_ASSIGN_OR_RETURN(Dataset source, LookUp(expr.source, expr.line));
       bool use_index = true;
-      if (optimizer_on_ && source.kind == Dataset::Kind::kIndexed) {
+      if (source.kind == Dataset::Kind::kIndexed) {
         optimizer::RangePlan plan = optimizer::PlanRange(
             runner_->cluster(), *source.info, expr.range, "count");
         plan.decision.target = bind_name;
@@ -403,11 +400,10 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
       index::IndexBuildOptions options;
       options.scheme = expr.scheme;
       options.shape = source.shape;
-      if (expr.auto_scheme && optimizer_on_) {
+      if (expr.auto_scheme) {
         // WITH AUTO: the advisor scores candidate (technique, granularity)
         // pairs on a deterministic sample of the source file. Master-side
-        // work only — no job runs, no counter moves. With the optimizer
-        // off, AUTO decays to the STR default the parser installed.
+        // work only — no job runs, no counter moves.
         Result<optimizer::IndexPlan> plan = optimizer::PlanIndexBuild(
             runner_->file_system(), source_path, source.shape);
         if (!plan.ok()) return AtLine(expr.line, plan.status());
@@ -447,7 +443,7 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
     case Expr::Kind::kRange: {
       SHADOOP_ASSIGN_OR_RETURN(Dataset source, LookUp(expr.source, expr.line));
       bool use_index = true;
-      if (optimizer_on_ && source.kind == Dataset::Kind::kIndexed) {
+      if (source.kind == Dataset::Kind::kIndexed) {
         optimizer::RangePlan plan = optimizer::PlanRange(
             runner_->cluster(), *source.info, expr.range, "range");
         plan.decision.target = bind_name;
@@ -495,18 +491,14 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
       std::vector<std::string> rows;
       if (left.kind == Dataset::Kind::kIndexed &&
           right.kind == Dataset::Kind::kIndexed) {
+        optimizer::JoinPlan plan = optimizer::PlanJoin(
+            runner_->cluster(), *left.info, *right.info);
+        plan.decision.target = bind_name;
         core::DjOptions dj_options;
-        bool use_sjmr = false;
-        if (optimizer_on_) {
-          optimizer::JoinPlan plan = optimizer::PlanJoin(
-              runner_->cluster(), *left.info, *right.info);
-          plan.decision.target = bind_name;
-          use_sjmr = plan.strategy == optimizer::JoinStrategy::kSjmr;
-          dj_options.build_right =
-              plan.strategy == optimizer::JoinStrategy::kDjBuildRight;
-          plan_log_.push_back(std::move(plan.decision));
-        }
-        if (use_sjmr) {
+        dj_options.build_right =
+            plan.strategy == optimizer::JoinStrategy::kDjBuildRight;
+        plan_log_.push_back(std::move(plan.decision));
+        if (plan.strategy == optimizer::JoinStrategy::kSjmr) {
           SHADOOP_ASSIGN_OR_RETURN(
               rows, core::SjmrJoin(runner_, left.path, left.shape, right.path,
                                    right.shape, stats));
@@ -628,7 +620,6 @@ Result<Dataset> Executor::Eval(const Expr& expr, ExecutionReport* report,
 }
 
 std::string Executor::PlanFingerprint(const Expr& expr) const {
-  if (!optimizer_on_) return "legacy";
   switch (expr.kind) {
     case Expr::Kind::kJoin: {
       Result<Dataset> left = LookUp(expr.source, expr.line);

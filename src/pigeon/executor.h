@@ -128,11 +128,6 @@ class Executor {
   }
   const std::string& tenant() const { return tenant_; }
 
-  /// Cost-based planning (DESIGN.md §15). On by default; `SET optimizer
-  /// off` pins every operation to the legacy hard-coded plan, reproducing
-  /// pre-optimizer rows, counters and charges byte-identically.
-  bool optimizer_enabled() const { return optimizer_on_; }
-
   /// Every plan decision this session made, in execution order. EXPLAIN
   /// renders the latest decision for its target as the `; plan:` segment.
   const std::vector<optimizer::PlanDecision>& plan_log() const {
@@ -140,8 +135,8 @@ class Executor {
   }
 
   /// The plan the optimizer would pick for `expr` right now, as a short
-  /// token ("dj.l", "sjmr", "pruned", ...). "legacy" when the optimizer
-  /// is off, "default" for operations without costed alternatives (or
+  /// token ("dj.l", "sjmr", "pruned", ...). "default" for operations
+  /// without costed alternatives (or
   /// when the inputs cannot be resolved — the statement will fail with
   /// its own error). The server folds this into its result-cache key so a
   /// plan change invalidates structurally.
@@ -194,7 +189,6 @@ class Executor {
   std::string tenant_ = "default";
   std::unique_ptr<mapreduce::AdmissionController> owned_admission_;
   mapreduce::AdmissionController* admission_ = nullptr;
-  bool optimizer_on_ = true;
   std::vector<optimizer::PlanDecision> plan_log_;
 };
 

@@ -146,17 +146,10 @@ class Parser {
         if (stmt.target == "SNAPSHOT_VERSION" && stmt.number < 0) {
           return ErrorAt(knob, "snapshot_version must be >= 0");
         }
-      } else if (stmt.target == "OPTIMIZER") {
-        SHADOOP_ASSIGN_OR_RETURN(std::string mode, Keyword());
-        if (mode != "ON" && mode != "OFF") {
-          return ErrorAt(knob, "optimizer must be 'on' or 'off'");
-        }
-        stmt.path = mode == "ON" ? "on" : "off";
       } else {
         return ErrorAt(knob, "unknown session knob '" + knob.text +
                                  "' (expected tenant, tenant_slots, "
-                                 "max_task_attempts, snapshot_version or "
-                                 "optimizer)");
+                                 "max_task_attempts or snapshot_version)");
       }
     } else if (upper == "DUMP" || upper == "EXPLAIN") {
       Next();
@@ -214,10 +207,8 @@ class Parser {
       if (with != "WITH") return ErrorAt(op_token, "expected WITH");
       SHADOOP_ASSIGN_OR_RETURN(std::string scheme, Keyword());
       if (scheme == "AUTO") {
-        // The advisor picks the technique at execution time; STR is the
-        // fallback when the optimizer is off.
+        // The advisor picks the technique at execution time.
         expr.auto_scheme = true;
-        expr.scheme = index::PartitionScheme::kStr;
       } else {
         SHADOOP_ASSIGN_OR_RETURN(expr.scheme,
                                  index::ParsePartitionScheme(scheme));

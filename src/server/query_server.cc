@@ -334,10 +334,10 @@ bool QueryServer::BuildCacheKey(Session& session,
     lanes = std::to_string(
         session.executor->admission_controller()->LaneShare(session.tenant));
   }
-  // The plan fingerprint makes plan changes invalidate structurally: a
-  // session with the optimizer off ("legacy") or an optimizer that picks
-  // a different strategy (new stats, different snapshot) never reuses an
-  // entry whose rows/charges came from another physical plan.
+  // The plan fingerprint makes plan changes invalidate structurally: an
+  // optimizer that picks a different strategy (new stats, different
+  // snapshot) never reuses an entry whose rows/charges came from another
+  // physical plan.
   const std::string plan = session.executor->PlanFingerprint(stmt.expr);
   *key = normalized + sources + "|lanes=" + lanes + "|plan=" + plan;
   return true;

@@ -32,22 +32,6 @@ size_t IntersectBoxBitmapScalar(const BoxLanes& boxes, size_t n,
   return hits;
 }
 
-size_t PointInBoxBitmapScalar(const double* px, const double* py, size_t n,
-                              double q_min_x, double q_min_y, double q_max_x,
-                              double q_max_y, uint64_t* out_bits) {
-  std::memset(out_bits, 0, BitmapWords(n) * sizeof(uint64_t));
-  size_t hits = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const bool hit = px[i] >= q_min_x && px[i] <= q_max_x &&
-                     py[i] >= q_min_y && py[i] <= q_max_y;
-    if (hit) {
-      out_bits[i >> 6] |= uint64_t{1} << (i & 63);
-      ++hits;
-    }
-  }
-  return hits;
-}
-
 void BoxMinDistanceScalar(const BoxLanes& boxes, size_t n, double px,
                           double py, double* out) {
   for (size_t i = 0; i < n; ++i) {
@@ -74,7 +58,6 @@ namespace detail {
 
 const KernelTable kScalarTable = {
     &IntersectBoxBitmapScalar,
-    &PointInBoxBitmapScalar,
     &BoxMinDistanceScalar,
     &PrefixCountLessEqualScalar,
 };
@@ -116,13 +99,6 @@ size_t IntersectBoxBitmap(const BoxLanes& boxes, size_t n, double q_min_x,
                           uint64_t* out_bits) {
   return ActiveTable().intersect_box_bitmap(boxes, n, q_min_x, q_min_y,
                                             q_max_x, q_max_y, out_bits);
-}
-
-size_t PointInBoxBitmap(const double* px, const double* py, size_t n,
-                        double q_min_x, double q_min_y, double q_max_x,
-                        double q_max_y, uint64_t* out_bits) {
-  return ActiveTable().point_in_box_bitmap(px, py, n, q_min_x, q_min_y,
-                                           q_max_x, q_max_y, out_bits);
 }
 
 void BoxMinDistance(const BoxLanes& boxes, size_t n, double px, double py,

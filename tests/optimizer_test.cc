@@ -1,8 +1,9 @@
 // Unit tests for the cost-based optimizer (DESIGN.md §15): the simulated
 // cost model, the partitioning advisor, and the executor integration
-// (plan log, EXPLAIN `; plan:` segment, `SET optimizer off` parity, plan
-// fingerprints). Every fixture is synthetic and deterministic — plan
-// choices must be identical across reruns and machines.
+// (plan log, EXPLAIN `; plan:` segment, plan fingerprints, planning
+// determinism through the query server). Every fixture is synthetic and
+// deterministic — plan choices must be identical across reruns and
+// machines.
 #include "optimizer/optimizer.h"
 
 #include <gtest/gtest.h>
@@ -17,7 +18,9 @@
 #include "optimizer/partitioning_advisor.h"
 #include "pigeon/executor.h"
 #include "pigeon/parser.h"
+#include "server/query_server.h"
 #include "test_util.h"
+#include "workload/generators.h"
 
 namespace shadoop::optimizer {
 namespace {
@@ -365,63 +368,49 @@ TEST(ExecutorOptimizer, ExplainWithoutPlannedOpsStaysClean) {
   EXPECT_EQ(report.dump_output.back().find("; plan:"), std::string::npos);
 }
 
-TEST(ExecutorOptimizer, OffReproducesLegacyJoinByteIdentically) {
-  // `SET optimizer off` must reproduce the pre-optimizer plan exactly:
-  // same rows, same order, same charges as a direct build-left DJ.
-  const char* script =
-      "SET optimizer off;"
-      "a = LOAD '/a' AS POINT;"
-      "b = LOAD '/b' AS POINT;"
-      "ai = INDEX a WITH STR INTO '/a_idx';"
-      "bi = INDEX b WITH STR INTO '/b_idx';"
-      "j = SJOIN ai, bi;"
-      "DUMP j;";
+TEST(ExecutorOptimizer, PlannedJoinMatchesDirectDistributedJoinRows) {
+  // Whatever strategy the optimizer picks, the join *answer* is the same
+  // multiset of rows a direct build-left distributed join produces.
+  // Overlapping polygons, so the answer is not empty.
+  auto write_inputs = [](hdfs::FileSystem* fs) {
+    workload::PolygonGenOptions poly;
+    poly.centers.count = 400;
+    poly.centers.seed = 5;
+    poly.max_radius_fraction = 0.03;
+    SHADOOP_CHECK_OK(workload::WritePolygonFile(fs, "/a", poly));
+    poly.centers.seed = 7;
+    SHADOOP_CHECK_OK(workload::WritePolygonFile(fs, "/b", poly));
+  };
   testing::TestCluster with_executor;
-  testing::WritePoints(&with_executor.fs, "/a", 1200);
-  testing::WritePoints(&with_executor.fs, "/b", 1200,
-                       workload::Distribution::kUniform, /*seed=*/7);
+  write_inputs(&with_executor.fs);
   pigeon::Executor executor(&with_executor.runner);
-  const pigeon::ExecutionReport report =
-      executor.Execute(script).ValueOrDie();
-  EXPECT_FALSE(executor.optimizer_enabled());
-  EXPECT_TRUE(executor.plan_log().empty());
+  pigeon::ExecutionReport report =
+      executor
+          .Execute(
+              "a = LOAD '/a' AS POLYGON;"
+              "b = LOAD '/b' AS POLYGON;"
+              "ai = INDEX a WITH STR INTO '/a_idx';"
+              "bi = INDEX b WITH STR INTO '/b_idx';"
+              "j = SJOIN ai, bi;"
+              "DUMP j;")
+          .ValueOrDie();
+  std::sort(report.dump_output.begin(), report.dump_output.end());
 
   testing::TestCluster direct;
-  testing::WritePoints(&direct.fs, "/a", 1200);
-  testing::WritePoints(&direct.fs, "/b", 1200,
-                       workload::Distribution::kUniform, /*seed=*/7);
-  const index::SpatialFileInfo ai = testing::BuildIndex(
-      &direct.runner, "/a", "/a_idx", index::PartitionScheme::kStr);
-  const index::SpatialFileInfo bi = testing::BuildIndex(
-      &direct.runner, "/b", "/b_idx", index::PartitionScheme::kStr);
-  const std::vector<std::string> expected =
+  write_inputs(&direct.fs);
+  const index::SpatialFileInfo ai =
+      testing::BuildIndex(&direct.runner, "/a", "/a_idx",
+                          index::PartitionScheme::kStr,
+                          index::ShapeType::kPolygon);
+  const index::SpatialFileInfo bi =
+      testing::BuildIndex(&direct.runner, "/b", "/b_idx",
+                          index::PartitionScheme::kStr,
+                          index::ShapeType::kPolygon);
+  std::vector<std::string> expected =
       core::DistributedJoin(&direct.runner, ai, bi).ValueOrDie();
+  std::sort(expected.begin(), expected.end());
+  EXPECT_FALSE(expected.empty());
   EXPECT_EQ(report.dump_output, expected);
-}
-
-TEST(ExecutorOptimizer, OnAndOffAgreeOnJoinRowMultisets) {
-  // Whatever strategy the optimizer picks, the join *answer* is the
-  // same multiset of rows the legacy plan produces.
-  auto run = [](const std::string& prelude) {
-    testing::TestCluster cluster;
-    testing::WritePoints(&cluster.fs, "/a", 1200);
-    testing::WritePoints(&cluster.fs, "/b", 1200,
-                         workload::Distribution::kUniform, /*seed=*/7);
-    pigeon::Executor executor(&cluster.runner);
-    pigeon::ExecutionReport report =
-        executor
-            .Execute(prelude +
-                     "a = LOAD '/a' AS POINT;"
-                     "b = LOAD '/b' AS POINT;"
-                     "ai = INDEX a WITH STR INTO '/a_idx';"
-                     "bi = INDEX b WITH STR INTO '/b_idx';"
-                     "j = SJOIN ai, bi;"
-                     "DUMP j;")
-            .ValueOrDie();
-    std::sort(report.dump_output.begin(), report.dump_output.end());
-    return report.dump_output;
-  };
-  EXPECT_EQ(run(""), run("SET optimizer off;"));
 }
 
 TEST(ExecutorOptimizer, IndexWithAutoConsultsTheAdvisor) {
@@ -446,24 +435,6 @@ TEST(ExecutorOptimizer, IndexWithAutoConsultsTheAdvisor) {
   // The advisor never picks the uniform grid on clustered data.
   EXPECT_NE(it->second.info->global_index.scheme(),
             index::PartitionScheme::kGrid);
-}
-
-TEST(ExecutorOptimizer, AutoFallsBackToStrWhenOff) {
-  testing::TestCluster cluster;
-  testing::WritePoints(&cluster.fs, "/pts", 1000);
-  pigeon::Executor executor(&cluster.runner);
-  const pigeon::ExecutionReport report =
-      executor
-          .Execute(
-              "SET optimizer off;"
-              "pts = LOAD '/pts' AS POINT;"
-              "idx = INDEX pts WITH AUTO;")
-          .ValueOrDie();
-  (void)report;
-  const auto it = executor.environment().find("idx");
-  ASSERT_NE(it, executor.environment().end());
-  EXPECT_EQ(it->second.info->global_index.scheme(),
-            index::PartitionScheme::kStr);
 }
 
 TEST(ExecutorOptimizer, RangePlansAreLoggedPerTarget) {
@@ -514,17 +485,91 @@ TEST(ExecutorOptimizer, PlanFingerprintsAreStableAndModeAware) {
   const pigeon::Script load = pigeon::Parse("x = LOAD '/a' AS POINT;")
                                   .ValueOrDie();
   EXPECT_EQ(executor.PlanFingerprint(load[0].expr), "default");
-
-  SHADOOP_CHECK_OK(executor.Execute("SET optimizer off;").status());
-  EXPECT_EQ(executor.PlanFingerprint(join[0].expr), "legacy");
 }
 
 TEST(ExecutorOptimizer, UnknownSetValueIsRejected) {
-  EXPECT_FALSE(pigeon::Parse("SET optimizer maybe;").ok());
-  const pigeon::Script on = pigeon::Parse("SET optimizer on;").ValueOrDie();
-  EXPECT_EQ(on[0].kind, pigeon::Statement::Kind::kSet);
-  EXPECT_EQ(on[0].target, "OPTIMIZER");
-  EXPECT_EQ(on[0].path, "on");
+  // Cost-based planning is always on; `optimizer` is not a session knob.
+  EXPECT_FALSE(pigeon::Parse("SET optimizer on;").ok());
+}
+
+// ---------------------------------------------------------------------------
+// Planning determinism through the query server
+
+/// A scaled-down copy of bench_hotpath's optimizer_planning stream: every
+/// costed decision (point and polygon join strategy, range and count
+/// index-vs-scan, the AUTO advisor), each followed by the EXPLAIN that
+/// renders its `; plan:` segment, driven through one server session on a
+/// fresh filesystem. Returns every row, with a separator per request.
+std::vector<std::string> RunPlanningStream(uint64_t admission_seed) {
+  testing::TestCluster cluster;
+  workload::PointGenOptions uniform;
+  uniform.count = 3000;
+  uniform.seed = 71;
+  SHADOOP_CHECK_OK(workload::WritePointFile(&cluster.fs, "/opt_a", uniform));
+  uniform.seed = 72;
+  SHADOOP_CHECK_OK(workload::WritePointFile(&cluster.fs, "/opt_b", uniform));
+  workload::PointGenOptions skew;
+  skew.distribution = workload::Distribution::kClustered;
+  skew.count = 2000;
+  skew.seed = 73;
+  SHADOOP_CHECK_OK(workload::WritePointFile(&cluster.fs, "/opt_skew", skew));
+  // Clustered, fat polygons, so partition MBRs overlap and SJMR competes.
+  workload::PolygonGenOptions poly;
+  poly.centers.distribution = workload::Distribution::kClustered;
+  poly.centers.count = 1000;
+  poly.centers.seed = 74;
+  poly.max_radius_fraction = 0.04;
+  SHADOOP_CHECK_OK(workload::WritePolygonFile(&cluster.fs, "/opt_pa", poly));
+  poly.centers.seed = 75;
+  SHADOOP_CHECK_OK(workload::WritePolygonFile(&cluster.fs, "/opt_pb", poly));
+
+  server::ServerOptions options;
+  options.cluster = testing::TestCluster::MakeCluster(4);
+  options.admission_seed = admission_seed;
+  server::QueryServer server(&cluster.fs, options);
+  const server::SessionId session = server.OpenSession().ValueOrDie();
+  const char* kScripts[] = {
+      "a = LOAD '/opt_a' AS POINT;",
+      "b = LOAD '/opt_b' AS POINT;",
+      "ai = INDEX a WITH STR INTO '/opt_a.idx';",
+      "bi = INDEX b WITH STR INTO '/opt_b.idx';",
+      "pj = SJOIN ai, bi; EXPLAIN pj;",
+      "r = RANGE ai RECTANGLE(100000, 100000, 420000, 420000); EXPLAIN r;",
+      "c = COUNT bi RECTANGLE(0, 0, 250000, 990000); EXPLAIN c; DUMP c;",
+      "pa = LOAD '/opt_pa' AS POLYGON;",
+      "pb = LOAD '/opt_pb' AS POLYGON;",
+      "pai = INDEX pa WITH STR INTO '/opt_pa.idx';",
+      "pbi = INDEX pb WITH STR INTO '/opt_pb.idx';",
+      "gj = SJOIN pai, pbi; EXPLAIN gj;",
+      "skew = LOAD '/opt_skew' AS POINT;",
+      "auto_idx = INDEX skew WITH AUTO INTO '/opt_auto.idx';",
+      "EXPLAIN auto_idx;",
+      "n = COUNT auto_idx RECTANGLE(0, 0, 1000000, 1000000); DUMP n;",
+  };
+  std::vector<std::string> rows;
+  for (const char* script : kScripts) {
+    server::RequestResult request =
+        server.Execute(session, script).ValueOrDie();
+    for (std::string& row : request.rows) rows.push_back(std::move(row));
+    rows.push_back("--");
+  }
+  return rows;
+}
+
+TEST(PlanningDeterminism, StreamIsByteIdenticalAcrossRerunsAndSeeds) {
+  const std::vector<std::string> base = RunPlanningStream(0);
+  // The stream renders every costed decision kind.
+  std::string all;
+  for (const std::string& row : base) all += row + "\n";
+  for (const char* plan : {"; plan: op=sjoin", "; plan: op=range",
+                           "; plan: op=count", "; plan: op=index"}) {
+    EXPECT_NE(all.find(plan), std::string::npos) << plan;
+  }
+  EXPECT_EQ(RunPlanningStream(0), base) << "rerun diverged";
+  for (uint64_t seed : {uint64_t{1}, uint64_t{2}}) {
+    EXPECT_EQ(RunPlanningStream(seed), base)
+        << "diverged under admission seed " << seed;
+  }
 }
 
 }  // namespace

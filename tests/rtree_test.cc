@@ -4,7 +4,7 @@
 #include <set>
 
 #include "common/random.h"
-#include "index/rtree.h"
+#include "index/packed_rtree.h"
 
 namespace shadoop::index {
 namespace {
@@ -34,7 +34,7 @@ std::set<uint32_t> BruteForceSearch(const std::vector<RTree::Entry>& entries,
 }
 
 TEST(RTreeTest, EmptyTree) {
-  RTree tree;
+  PackedRTree tree;
   EXPECT_TRUE(tree.IsEmpty());
   std::vector<uint32_t> out;
   EXPECT_EQ(tree.Search(Envelope(0, 0, 1, 1), &out), 0u);
@@ -44,7 +44,7 @@ TEST(RTreeTest, EmptyTree) {
 
 TEST(RTreeTest, SearchMatchesBruteForce) {
   const auto entries = RandomEntries(2000, 7);
-  const RTree tree(entries);
+  const PackedRTree tree(entries);
   EXPECT_EQ(tree.Bounds(), [&] {
     Envelope e;
     for (const auto& entry : entries) e.ExpandToInclude(entry.box);
@@ -65,7 +65,7 @@ TEST(RTreeTest, SearchMatchesBruteForce) {
 
 TEST(RTreeTest, SearchVisitsFewNodesForSelectiveQueries) {
   const auto entries = RandomEntries(10000, 3);
-  const RTree tree(entries);
+  const PackedRTree tree(entries);
   std::vector<uint32_t> out;
   const size_t visited = tree.Search(Envelope(50, 50, 51, 51), &out);
   // A point-ish query must not traverse the whole tree (~10000/32 leaves).
@@ -82,7 +82,7 @@ TEST(RTreeTest, NearestNeighborsMatchBruteForce) {
     points.push_back(p);
     entries.push_back({Envelope::FromPoint(p), i});
   }
-  const RTree tree(entries);
+  const PackedRTree tree(entries);
   const Point q(33, 66);
   const auto knn = tree.NearestNeighbors(q, 10);
   ASSERT_EQ(knn.size(), 10u);
@@ -98,22 +98,36 @@ TEST(RTreeTest, NearestNeighborsMatchBruteForce) {
 
 TEST(RTreeTest, KnnLargerThanTreeReturnsAll) {
   const auto entries = RandomEntries(20, 4);
-  const RTree tree(entries);
+  const PackedRTree tree(entries);
   EXPECT_EQ(tree.NearestNeighbors(Point(0, 0), 100).size(), 20u);
+  EXPECT_TRUE(tree.NearestNeighbors(Point(0, 0), 0).empty());
 }
 
 TEST(RTreeTest, SingleEntryAndSmallCapacity) {
-  RTree tree({{Envelope(1, 1, 2, 2), 9}}, /*leaf_capacity=*/2);
+  PackedRTree tree({{Envelope(1, 1, 2, 2), 9}}, /*leaf_capacity=*/2);
   std::vector<uint32_t> out;
   tree.Search(Envelope(0, 0, 3, 3), &out);
   EXPECT_EQ(out, std::vector<uint32_t>{9});
 
   // Deep tree via tiny capacity.
   const auto entries = RandomEntries(300, 5);
-  const RTree deep(entries, 2);
+  const PackedRTree deep(entries, 2);
   out.clear();
   deep.Search(Envelope(0, 0, 100, 102), &out);
   EXPECT_EQ(out.size(), 300u);
+
+  // Best-first kNN through the deep tree, ranked by box distance.
+  const Point q(40, 60);
+  std::vector<double> expected;
+  for (const RTree::Entry& e : entries) {
+    expected.push_back(e.box.MinDistance(q));
+  }
+  std::sort(expected.begin(), expected.end());
+  const std::vector<uint32_t> knn = deep.NearestNeighbors(q, 25);
+  ASSERT_EQ(knn.size(), 25u);
+  for (size_t i = 0; i < knn.size(); ++i) {
+    EXPECT_EQ(entries[knn[i]].box.MinDistance(q), expected[i]) << i;
+  }
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // Scalar-vs-SIMD parity suite (DESIGN.md §13): every compiled dispatch
 // target must produce bit-identical hit bitmaps, counts and distances to
 // the scalar reference kernels — which themselves must match the
-// geometry layer's Envelope semantics — and the cache-packed R-tree must
-// reproduce RTree::Search exactly (payload order and visited counts).
+// geometry layer's Envelope semantics — and the packed R-tree must match
+// brute force and return the same payload order and visited counts on
+// every target as on kScalar.
 // Runs under the ASan/UBSan tree via the regular ctest suite.
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -16,7 +18,6 @@
 #include "common/random.h"
 #include "geometry/envelope.h"
 #include "index/packed_rtree.h"
-#include "index/rtree.h"
 #include "simd/dispatch.h"
 #include "simd/mbr_kernels.h"
 
@@ -159,53 +160,6 @@ TEST(KernelParityTest, IntersectBoxBitmapMatchesEnvelopeAndAllTargets) {
   }
 }
 
-TEST(KernelParityTest, PointInBoxBitmapClosedBoundaries) {
-  Random rng(11);
-  const Envelope q(0, 0, 10, 10);
-  for (size_t n : kSizes) {
-    std::vector<double> px, py;
-    for (size_t i = 0; i < n; ++i) {
-      switch (rng.NextUint32(4)) {
-        case 0:  // Exactly on the max corner: closed => inside.
-          px.push_back(10.0);
-          py.push_back(10.0);
-          break;
-        case 1:  // On the right edge.
-          px.push_back(10.0);
-          py.push_back(rng.NextDouble(-2, 12));
-          break;
-        default:
-          px.push_back(rng.NextDouble(-2, 12));
-          py.push_back(rng.NextDouble(-2, 12));
-          break;
-      }
-    }
-    std::vector<uint64_t> expected(simd::BitmapWords(n) + 1, 0);
-    const size_t expected_hits =
-        TableFor(Target::kScalar)
-            .point_in_box_bitmap(px.data(), py.data(), n, q.min_x(),
-                                 q.min_y(), q.max_x(), q.max_y(),
-                                 expected.data());
-    size_t envelope_hits = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const bool hit = q.Contains(Point(px[i], py[i]));
-      envelope_hits += hit;
-      EXPECT_EQ((expected[i / 64] >> (i % 64)) & 1, uint64_t{hit}) << i;
-    }
-    EXPECT_EQ(expected_hits, envelope_hits);
-    for (Target t : CompiledTargets()) {
-      std::vector<uint64_t> bits(simd::BitmapWords(n) + 1, 0);
-      const size_t hits = TableFor(t).point_in_box_bitmap(
-          px.data(), py.data(), n, q.min_x(), q.min_y(), q.max_x(),
-          q.max_y(), bits.data());
-      EXPECT_EQ(hits, expected_hits) << simd::TargetName(t);
-      for (size_t w = 0; w < simd::BitmapWords(n); ++w) {
-        EXPECT_EQ(bits[w], expected[w]) << simd::TargetName(t);
-      }
-    }
-  }
-}
-
 TEST(KernelParityTest, BoxMinDistanceBitIdentical) {
   Random rng(13);
   for (size_t n : kSizes) {
@@ -285,7 +239,7 @@ TEST(KernelParityTest, DispatchedEntryPointsFollowActiveTarget) {
 }
 
 // ---------------------------------------------------------------------
-// PackedRTree vs RTree
+// PackedRTree vs brute force and vs kScalar
 
 std::vector<index::RTree::Entry> MakeEntries(size_t n, Random* rng) {
   std::vector<index::RTree::Entry> entries;
@@ -300,27 +254,30 @@ std::vector<index::RTree::Entry> MakeEntries(size_t n, Random* rng) {
   return entries;
 }
 
-TEST(PackedRTreeParityTest, SearchMatchesRTreeExactly) {
+TEST(PackedRTreeParityTest, SearchMatchesBruteForce) {
   Random rng(23);
   for (size_t n : {size_t{0}, size_t{1}, size_t{5}, size_t{100},
                    size_t{1000}}) {
     for (int capacity : {2, 4, 32}) {
       const std::vector<index::RTree::Entry> entries = MakeEntries(n, &rng);
-      const index::RTree reference(entries, capacity);
       const index::PackedRTree packed(entries, capacity);
-      EXPECT_EQ(packed.NumEntries(), reference.NumEntries());
-      EXPECT_EQ(packed.Bounds().ToString(), reference.Bounds().ToString());
+      EXPECT_EQ(packed.NumEntries(), n);
+      Envelope bounds;
+      for (const index::RTree::Entry& e : entries) {
+        bounds.ExpandToInclude(e.box);
+      }
+      EXPECT_EQ(packed.Bounds(), bounds);
       for (int qi = 0; qi < 50; ++qi) {
         const double x = rng.NextDouble(-50, 1050);
         const double y = rng.NextDouble(-50, 1050);
         const Envelope query(x, y, x + rng.NextDouble(0, 120),
                              y + rng.NextDouble(0, 120));
         std::vector<uint32_t> expected_hits, packed_hits;
-        const size_t expected_visited =
-            reference.Search(query, &expected_hits);
-        // Same payloads in the same order, same visited count (the
-        // CPU-cost proxy).
-        EXPECT_EQ(packed.Search(query, &packed_hits), expected_visited);
+        for (const index::RTree::Entry& e : entries) {
+          if (e.box.Intersects(query)) expected_hits.push_back(e.payload);
+        }
+        packed.Search(query, &packed_hits);
+        std::sort(packed_hits.begin(), packed_hits.end());
         EXPECT_EQ(packed_hits, expected_hits);
       }
       // Empty query never matches and never visits.
@@ -334,20 +291,68 @@ TEST(PackedRTreeParityTest, SearchMatchesRTreeExactly) {
 TEST(PackedRTreeParityTest, SearchParityOnEveryTarget) {
   Random rng(29);
   const std::vector<index::RTree::Entry> entries = MakeEntries(500, &rng);
-  const index::RTree reference(entries);
   const index::PackedRTree packed(entries);
+  std::vector<Envelope> queries;
+  for (int qi = 0; qi < 20; ++qi) {
+    const double x = rng.NextDouble(0, 1000);
+    const double y = rng.NextDouble(0, 1000);
+    queries.emplace_back(x, y, x + 90, y + 90);
+  }
   const Target original = simd::ActiveTarget();
+  ASSERT_TRUE(simd::SetActiveTarget(Target::kScalar));
+  std::vector<std::vector<uint32_t>> expected_hits(queries.size());
+  std::vector<size_t> expected_visited;
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    expected_visited.push_back(
+        packed.Search(queries[qi], &expected_hits[qi]));
+  }
   for (Target t : simd::SupportedTargets()) {
     ASSERT_TRUE(simd::SetActiveTarget(t));
-    for (int qi = 0; qi < 20; ++qi) {
-      const double x = rng.NextDouble(0, 1000);
-      const double y = rng.NextDouble(0, 1000);
-      const Envelope query(x, y, x + 90, y + 90);
-      std::vector<uint32_t> expected_hits, hits;
-      const size_t expected_visited = reference.Search(query, &expected_hits);
-      EXPECT_EQ(packed.Search(query, &hits), expected_visited)
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      // Same payloads in the same order, same visited count (the
+      // CPU-cost proxy).
+      std::vector<uint32_t> hits;
+      EXPECT_EQ(packed.Search(queries[qi], &hits), expected_visited[qi])
           << simd::TargetName(t);
-      EXPECT_EQ(hits, expected_hits) << simd::TargetName(t);
+      EXPECT_EQ(hits, expected_hits[qi]) << simd::TargetName(t);
+    }
+  }
+  simd::SetActiveTarget(original);
+}
+
+TEST(PackedRTreeParityTest, NearestNeighborsParityOnEveryTarget) {
+  // Every point appears three times, so equal distances are everywhere
+  // and the pop order among ties is part of what must agree.
+  Random rng(31);
+  std::vector<index::RTree::Entry> entries;
+  for (uint32_t i = 0; i < 200; ++i) {
+    const Point p(rng.NextDouble(0, 100), rng.NextDouble(0, 100));
+    for (int copy = 0; copy < 3; ++copy) {
+      entries.push_back({Envelope::FromPoint(p),
+                         static_cast<uint32_t>(entries.size())});
+    }
+  }
+  std::vector<Point> queries;
+  for (int qi = 0; qi < 20; ++qi) {
+    queries.emplace_back(rng.NextDouble(-10, 110), rng.NextDouble(-10, 110));
+  }
+  queries.push_back(entries[0].box.Center());  // Ties at distance zero.
+  const Target original = simd::ActiveTarget();
+  for (int capacity : {2, 32}) {
+    const index::PackedRTree packed(entries, capacity);
+    ASSERT_TRUE(simd::SetActiveTarget(Target::kScalar));
+    std::vector<std::vector<uint32_t>> expected;
+    for (const Point& q : queries) {
+      expected.push_back(packed.NearestNeighbors(q, 10));
+      ASSERT_EQ(expected.back().size(), 10u);
+    }
+    for (Target t : simd::SupportedTargets()) {
+      ASSERT_TRUE(simd::SetActiveTarget(t));
+      for (size_t qi = 0; qi < queries.size(); ++qi) {
+        EXPECT_EQ(packed.NearestNeighbors(queries[qi], 10), expected[qi])
+            << simd::TargetName(t) << " capacity=" << capacity
+            << " query=" << qi;
+      }
     }
   }
   simd::SetActiveTarget(original);
