@@ -17,6 +17,13 @@ uint64_t TieBreakHash(uint64_t seed, std::string_view tenant) {
   return hash;
 }
 
+Status ZeroQuotaError(const std::string& tenant) {
+  return Status::ResourceExhausted(
+      "tenant '" + tenant +
+      "' has a zero admission quota; SET tenant_slots to a positive value "
+      "to run jobs");
+}
+
 }  // namespace
 
 AdmissionController::AdmissionController(AdmissionOptions options)
@@ -89,6 +96,18 @@ std::map<std::string, int> AdmissionController::ComputeLaneShares(
   return shares;
 }
 
+size_t AdmissionController::LeastLoadedSimLaneLocked(Tenant& tenant) {
+  const int quota = QuotaOf(tenant);
+  const size_t sim_lanes = static_cast<size_t>(
+      std::max(1, std::min(quota, options_.total_slots)));
+  tenant.sim_lanes.resize(sim_lanes, 0.0);
+  size_t lane = 0;
+  for (size_t i = 1; i < tenant.sim_lanes.size(); ++i) {
+    if (tenant.sim_lanes[i] < tenant.sim_lanes[lane]) lane = i;
+  }
+  return lane;
+}
+
 std::map<std::string, int> AdmissionController::CurrentLaneSharesLocked()
     const {
   std::map<std::string, int> weights;
@@ -130,10 +149,7 @@ AdmissionController::AdmitJob(const std::string& tenant) {
   MutexLock lock(&mu_);
   Tenant& t = tenants_[tenant];
   if (QuotaOf(t) == 0) {
-    return Status::ResourceExhausted(
-        "tenant '" + tenant +
-        "' has a zero admission quota; SET tenant_slots to a positive "
-        "value to run jobs");
+    return ZeroQuotaError(tenant);
   }
 
   // FIFO within the tenant: tickets are served strictly in issue order,
@@ -157,14 +173,7 @@ AdmissionController::AdmitJob(const std::string& tenant) {
   // that lane's backlog — a pure function of the tenant's own admission
   // order and simulated job costs, independent of wall-clock races and
   // of every other tenant.
-  const int quota = QuotaOf(t);
-  const size_t sim_lanes = static_cast<size_t>(
-      std::max(1, std::min(quota, options_.total_slots)));
-  t.sim_lanes.resize(sim_lanes, 0.0);
-  size_t lane = 0;
-  for (size_t i = 1; i < t.sim_lanes.size(); ++i) {
-    if (t.sim_lanes[i] < t.sim_lanes[lane]) lane = i;
-  }
+  const size_t lane = LeastLoadedSimLaneLocked(t);
   const double wait_ms = t.sim_lanes[lane];
 
   auto ticket = std::unique_ptr<JobTicket>(new JobTicket());
@@ -182,6 +191,24 @@ AdmissionController::AdmitJob(const std::string& tenant) {
   if (wait_ms > 0) ++t.stats.jobs_queued;
   t.stats.wait_ms += wait_ms;
   return ticket;
+}
+
+Result<double> AdmissionController::ReplayJob(const std::string& tenant,
+                                              double sim_cost_ms) {
+  MutexLock lock(&mu_);
+  Tenant& t = tenants_[tenant];
+  if (QuotaOf(t) == 0) {
+    return ZeroQuotaError(tenant);
+  }
+  // AdmitJob then ReleaseJob on the ledger alone: the same lane pick, the
+  // same wait, the same charge, but no slot is taken and nothing blocks.
+  const size_t lane = LeastLoadedSimLaneLocked(t);
+  const double wait_ms = t.sim_lanes[lane];
+  t.sim_lanes[lane] += std::max(0.0, sim_cost_ms);
+  ++t.stats.jobs_admitted;
+  if (wait_ms > 0) ++t.stats.jobs_queued;
+  t.stats.wait_ms += wait_ms;
+  return wait_ms;
 }
 
 void AdmissionController::ReleaseJob(JobTicket* ticket, double sim_cost_ms) {

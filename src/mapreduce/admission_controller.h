@@ -124,6 +124,18 @@ class AdmissionController {
   void ReleaseJob(JobTicket* ticket, double sim_cost_ms)
       SHADOOP_EXCLUDES(mu_);
 
+  /// Charges one job that another tenant's session already ran (a
+  /// result-cache entry's job, DESIGN.md §14.2) to `tenant`'s simulated
+  /// lane ledger, exactly as AdmitJob followed by ReleaseJob(sim_cost_ms)
+  /// would: picks the least-loaded lane, returns its backlog as the
+  /// job's simulated wait, and adds `sim_cost_ms` to it. Blocks on
+  /// nothing and takes no job slot. The tenant's jobs_admitted,
+  /// jobs_queued and wait_ms advance; lanes_acquired, lanes_released and
+  /// preempted_specs do not, because no attempt runs. Fails with
+  /// ResourceExhausted, like AdmitJob, when the tenant's quota is zero.
+  Result<double> ReplayJob(const std::string& tenant, double sim_cost_ms)
+      SHADOOP_EXCLUDES(mu_);
+
   TenantStats StatsFor(const std::string& tenant) const
       SHADOOP_EXCLUDES(mu_);
 
@@ -158,6 +170,9 @@ class AdmissionController {
   int QuotaOf(const Tenant& tenant) const {
     return tenant.slots < 0 ? options_.total_slots : tenant.slots;
   }
+  /// Sizes the tenant's simulated ledger to its quota and returns the
+  /// least-loaded lane (lowest index on ties), under mu_.
+  size_t LeastLoadedSimLaneLocked(Tenant& tenant) SHADOOP_REQUIRES(mu_);
   /// Lane shares over every known nonzero-quota tenant, under mu_.
   std::map<std::string, int> CurrentLaneSharesLocked() const
       SHADOOP_REQUIRES(mu_);

@@ -238,9 +238,17 @@ Result<std::vector<InputSplit>> MakeBlockSplits(const hdfs::FileSystem& fs,
 }
 
 JobResult JobRunner::Run(const JobConfig& job) {
-  if (admission_ == nullptr) {
-    return RunAdmitted(job, cluster_.num_slots, /*gate=*/nullptr);
+  JobResult result =
+      admission_ == nullptr
+          ? RunAdmitted(job, cluster_.num_slots, /*gate=*/nullptr)
+          : RunUnderAdmission(job);
+  if (job_cost_sink_ != nullptr && result.status.ok()) {
+    job_cost_sink_->push_back(result.cost);
   }
+  return result;
+}
+
+JobResult JobRunner::RunUnderAdmission(const JobConfig& job) {
   // Admission gate: blocks until the session's tenant has a free job
   // slot (FIFO within the tenant; other tenants' queues are independent)
   // and pins the tenant's deterministic lane share for the whole run.

@@ -2,6 +2,7 @@
 #define SHADOOP_MAPREDUCE_JOB_RUNNER_H_
 
 #include <string>
+#include <vector>
 
 #include "hdfs/file_system.h"
 #include "mapreduce/admission_controller.h"
@@ -53,6 +54,14 @@ class JobRunner {
   AdmissionController* admission_controller() const { return admission_; }
   const std::string& tenant() const { return tenant_; }
 
+  /// While set, every Run() that succeeds appends its JobCost to `*sink`,
+  /// in run order. Not owned; null (the default) records nothing. The
+  /// query server sets one around a single statement and clears it
+  /// afterwards, so the runner keeps no list across statements.
+  void set_job_cost_sink(std::vector<JobCost>* sink) {
+    job_cost_sink_ = sink;
+  }
+
   /// Session-level override of JobConfig::max_task_attempts (the Pigeon
   /// `SET max_task_attempts` knob); 0 (the default) keeps each job's own
   /// setting.
@@ -75,6 +84,11 @@ class JobRunner {
   ArtifactCache* artifact_cache() { return &artifact_cache_; }
 
  private:
+  /// Run() under the bound admission controller: admits the job under
+  /// the session's tenant, runs it with the tenant's lane share and
+  /// releases it with its simulated cost.
+  JobResult RunUnderAdmission(const JobConfig& job);
+
   /// The admitted run: `lanes` caps task parallelism (real threads and
   /// the simulated makespan alike) and `gate` brackets every attempt.
   JobResult RunAdmitted(const JobConfig& job, int lanes, AttemptGate* gate);
@@ -85,6 +99,7 @@ class JobRunner {
   fault::FaultInjector* fault_injector_ = nullptr;
   AdmissionController* admission_ = nullptr;
   std::string tenant_ = "default";
+  std::vector<JobCost>* job_cost_sink_ = nullptr;
   int max_task_attempts_override_ = 0;
 };
 

@@ -42,25 +42,6 @@ mapreduce::JobCost CostDelta(const mapreduce::JobCost& after,
   return d;
 }
 
-void AddCost(mapreduce::JobCost* into, const mapreduce::JobCost& delta) {
-  into->total_ms += delta.total_ms;
-  into->map_makespan_ms += delta.map_makespan_ms;
-  into->shuffle_ms += delta.shuffle_ms;
-  into->reduce_makespan_ms += delta.reduce_makespan_ms;
-  into->bytes_read += delta.bytes_read;
-  into->bytes_shuffled += delta.bytes_shuffled;
-  into->bytes_written += delta.bytes_written;
-  into->num_map_tasks += delta.num_map_tasks;
-  into->num_reduce_tasks += delta.num_reduce_tasks;
-  into->task_retries += delta.task_retries;
-  into->speculative_launched += delta.speculative_launched;
-  into->speculative_won += delta.speculative_won;
-  into->replica_failovers += delta.replica_failovers;
-  into->admission_queued += delta.admission_queued;
-  into->admission_wait_ms += delta.admission_wait_ms;
-  into->admission_preempted_specs += delta.admission_preempted_specs;
-}
-
 bool IsCacheableExpr(pigeon::Expr::Kind kind) {
   switch (kind) {
     case pigeon::Expr::Kind::kCount:
@@ -105,8 +86,7 @@ Status QueryServer::AttachDataset(const std::string& name,
 
 Result<SessionId> QueryServer::OpenSession(const std::string& tenant,
                                            int tenant_slots) {
-  auto session = std::make_unique<Session>();
-  session->tenant = tenant;
+  auto session = std::make_unique<Session>(options_.result_cache_capacity);
   session->runner =
       std::make_unique<mapreduce::JobRunner>(fs_, options_.cluster);
   session->executor =
@@ -258,45 +238,91 @@ Status QueryServer::ExecuteSessionStatement(Session& session,
     return session.executor->ExecuteStatement(stmt, &session.report);
   }
 
-  if (std::shared_ptr<const CachedResult> hit = result_cache_.Lookup(key)) {
-    // Replay the stored execution: bind the rows and merge the exact
-    // charge delta the producing run paid, so a hit is byte-identical to
-    // a miss in rows, cost and counters.
-    pigeon::Dataset dataset;
-    dataset.kind = pigeon::Dataset::Kind::kLines;
-    dataset.shape = hit->shape;
-    dataset.lines = hit->lines;  // Shared, not copied.
-    session.executor->Bind(stmt.target, std::move(dataset));
-    AddCost(&session.report.stats.cost, hit->cost);
-    for (const auto& [name, value] : hit->counters) {
-      session.report.stats.counters.Increment(name, value);
-    }
-    session.report.stats.jobs_run += hit->jobs_run;
+  // Every lookup counts in the shared cache, repeats included.
+  const std::shared_ptr<const CachedResult> hit = result_cache_.Lookup(key);
+  if (std::shared_ptr<const CachedResult> repeat = session.paid.Lookup(key)) {
+    // A repeat: replay exactly what this session paid the first time, so
+    // its charges never depend on which session produced the entry.
+    ReplayEntry(session, stmt, *repeat);
     session.report.stats.counters.Increment("cache.result_hits");
     return Status::OK();
   }
 
-  const mapreduce::JobCost cost_before = session.report.stats.cost;
+  // First meeting with the key: whether this session executes or takes
+  // another session's rows, it pays the same job charges and queues each
+  // job through its own tenant's lane ledger.
+  auto paid = std::make_shared<CachedResult>();
+  if (hit != nullptr) {
+    *paid = *hit;
+    if (mapreduce::AdmissionController* admission =
+            session.runner->admission_controller()) {
+      // The wait and counters JobRunner::Run reports for an admitted job.
+      for (mapreduce::JobCost& job : paid->jobs) {
+        SHADOOP_ASSIGN_OR_RETURN(
+            job.admission_wait_ms,
+            admission->ReplayJob(session.runner->tenant(), job.total_ms));
+        if (job.admission_wait_ms <= 0) continue;
+        job.admission_queued = 1;
+        paid->counters["admission.queued"] += 1;
+        paid->counters["admission.wait_ms"] +=
+            static_cast<int64_t>(job.admission_wait_ms + 0.5);
+      }
+    }
+    ReplayEntry(session, stmt, *paid);
+    session.paid.Insert(key, std::move(paid));
+    session.report.stats.counters.Increment("cache.result_hits");
+    return Status::OK();
+  }
+
   const mapreduce::Counters counters_before = session.report.stats.counters;
-  const int jobs_before = session.report.stats.jobs_run;
-  SHADOOP_RETURN_NOT_OK(
-      session.executor->ExecuteStatement(stmt, &session.report));
+  session.runner->set_job_cost_sink(&paid->jobs);
+  const Status status =
+      session.executor->ExecuteStatement(stmt, &session.report);
+  session.runner->set_job_cost_sink(nullptr);
+  SHADOOP_RETURN_NOT_OK(status);
   const auto& env = session.executor->environment();
   const auto it = env.find(stmt.target);
   if (it != env.end() && it->second.kind == pigeon::Dataset::Kind::kLines) {
-    auto entry = std::make_shared<CachedResult>();
-    entry->lines = it->second.lines;  // The binding's buffer, shared.
-    entry->shape = it->second.shape;
-    entry->cost = CostDelta(session.report.stats.cost, cost_before);
+    paid->lines = it->second.lines;  // The binding's buffer, shared.
+    paid->shape = it->second.shape;
     for (const auto& [name, value] : session.report.stats.counters.values()) {
       const int64_t delta = value - counters_before.Get(name);
-      if (delta != 0) entry->counters.emplace(name, delta);
+      if (delta != 0) paid->counters.emplace(name, delta);
     }
-    entry->jobs_run = session.report.stats.jobs_run - jobs_before;
-    result_cache_.Insert(key, std::move(entry));
+    // The shared entry keeps the job charges and drops this tenant's
+    // queueing, which came from its own ledger.
+    auto entry = std::make_shared<CachedResult>(*paid);
+    for (mapreduce::JobCost& job : entry->jobs) {
+      job.admission_wait_ms = 0;
+      job.admission_queued = 0;
+    }
+    entry->counters.erase("admission.queued");
+    entry->counters.erase("admission.wait_ms");
+    // Share the resident entry's rows, which may be another session's.
+    paid->lines = result_cache_.Insert(key, std::move(entry))->lines;
+    session.paid.Insert(key, std::move(paid));
   }
   session.report.stats.counters.Increment("cache.result_misses");
   return Status::OK();
+}
+
+void QueryServer::ReplayEntry(Session& session, const pigeon::Statement& stmt,
+                              const CachedResult& entry) {
+  pigeon::Dataset dataset;
+  dataset.kind = pigeon::Dataset::Kind::kLines;
+  dataset.shape = entry.shape;
+  dataset.lines = entry.lines;  // Shared, not copied.
+  session.executor->Bind(stmt.target, std::move(dataset));
+  // Job by job, through the arithmetic executing uses, so a replay adds
+  // the same bits to the report that running the jobs would.
+  for (const mapreduce::JobCost& job : entry.jobs) {
+    mapreduce::JobResult result;
+    result.cost = job;
+    session.report.stats.Accumulate(result);
+  }
+  for (const auto& [name, value] : entry.counters) {
+    session.report.stats.counters.Increment(name, value);
+  }
 }
 
 bool QueryServer::BuildCacheKey(Session& session,
@@ -330,9 +356,9 @@ bool QueryServer::BuildCacheKey(Session& session,
   // admitted job is costed with its share), so sessions with different
   // shares must not exchange entries.
   std::string lanes = "all";
-  if (session.executor->admission_controller() != nullptr) {
-    lanes = std::to_string(
-        session.executor->admission_controller()->LaneShare(session.tenant));
+  if (const mapreduce::AdmissionController* admission =
+          session.runner->admission_controller()) {
+    lanes = std::to_string(admission->LaneShare(session.runner->tenant()));
   }
   // The plan fingerprint makes plan changes invalidate structurally: an
   // optimizer that picks a different strategy (new stats, different

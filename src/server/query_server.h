@@ -70,8 +70,11 @@ struct SessionStream {
 ///     streams, and admission wait lands in sim_latency_ms.
 ///   - Cacheable assignments (queries over catalog-pinned indexed
 ///     datasets) go through the ResultCache; hits bind the cached rows
-///     (the entry's shared buffer, not a copy) and replay the stored
-///     charges, byte-identical to a miss.
+///     (the entry's shared buffer, not a copy). A session's charges for
+///     a key depend only on its own statement stream: the first time it
+///     meets the key it pays the entry's job charges and queues each job
+///     through its own tenant's lane ledger, the same as executing would;
+///     every repeat replays what it paid that first time.
 ///   - A session keeps cumulative charges, counters and jobs_run, but no
 ///     rows: each request's rows are moved into its RequestResult, so a
 ///     long-lived session's memory does not grow with what it dumped.
@@ -142,10 +145,15 @@ class QueryServer {
 
  private:
   struct Session {
-    std::string tenant;
+    explicit Session(size_t cache_capacity) : paid(cache_capacity) {}
+
     std::unique_ptr<mapreduce::JobRunner> runner;
     std::unique_ptr<pigeon::Executor> executor;
     pigeon::ExecutionReport report;  // Charges; rows only mid-request.
+    /// What this session paid the first time it met each cache key,
+    /// bound to the shared entry's rows; guarded by `mu`. Bounded like
+    /// the shared cache.
+    ResultCache paid;
     Mutex mu;  // Serializes this session's requests.
   };
 
@@ -155,6 +163,11 @@ class QueryServer {
   /// result cache. Caller holds the session's mutex.
   Status ExecuteSessionStatement(Session& session,
                                  const pigeon::Statement& stmt);
+
+  /// Binds `entry`'s rows to the statement's target and adds its
+  /// charges to the session's report.
+  static void ReplayEntry(Session& session, const pigeon::Statement& stmt,
+                          const CachedResult& entry);
 
   /// Builds the result-cache key for an assignment, or returns false
   /// when the statement is not cacheable (non-query expression, a source

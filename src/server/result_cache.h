@@ -18,11 +18,25 @@
 namespace shadoop::server {
 
 /// One cached query result: the materialized rows plus the *simulated
-/// charge delta* of the execution that produced them. A cache hit must be
-/// indistinguishable from a miss in every deterministic output — rows,
-/// JobCost, counters, jobs_run — so the entry stores the full delta and
-/// the server replays it into the hitting session's report. Wall-clock
+/// charges* of the execution that produced them, job by job, so a hit
+/// runs no job and yet charges exactly what executing would. Wall-clock
 /// time is deliberately absent: saving it is the cache's entire point.
+///
+/// Every cacheable operator charges only the jobs it runs, so `jobs`
+/// (each job's JobCost, in run order) plus `counters` (the statement's
+/// counter deltas) are its whole charge; replaying adds the jobs to a
+/// report one at a time, in the same order and arithmetic as executing.
+///
+/// In the server-wide cache an entry holds only what every session with
+/// the same key would pay: each job's `admission_wait_ms` and
+/// `admission_queued` are zero, and there are no `admission.queued` or
+/// `admission.wait_ms` counters. That wait came from the producing
+/// tenant's own lane ledger; a session that meets the entry queues the
+/// jobs through *its* ledger instead (DESIGN.md §14.2).
+/// `admission_preempted_specs` stays, since it depends only on the lane
+/// share, which is part of the key. A session's own record of a key is
+/// the same struct holding what that session paid, admission included,
+/// which it replays on every repeat.
 ///
 /// `lines` is the immutable row buffer of the binding that produced the
 /// entry; every hit binds that same buffer, so neither an insert nor a hit
@@ -30,9 +44,8 @@ namespace shadoop::server {
 struct CachedResult {
   std::shared_ptr<const std::vector<std::string>> lines;
   index::ShapeType shape = index::ShapeType::kPoint;
-  mapreduce::JobCost cost;
+  std::vector<mapreduce::JobCost> jobs;
   std::map<std::string, int64_t> counters;
-  int jobs_run = 0;
 };
 
 /// Server-wide result/plan cache (DESIGN.md §14), shared by every

@@ -187,6 +187,39 @@ TEST(AdmissionQueueTest, TenantQueuesAreIndependent) {
   EXPECT_EQ(controller.StatsFor("heavy").jobs_queued, 1);
 }
 
+TEST(AdmissionQueueTest, ReplayJobMatchesAdmitThenRelease) {
+  // The same job costs through a 2-slot ledger, once admitted and
+  // released, once replayed: identical waits and ledger statistics, but
+  // a replay takes no slot and acquires no lane.
+  const std::vector<double> costs = {100.0, 40.0, 30.0, 0.0, 25.0};
+  AdmissionController admitted(AdmissionOptions{4, 0});
+  AdmissionController replayed(AdmissionOptions{4, 0});
+  admitted.SetTenantSlots("t", 2);
+  replayed.SetTenantSlots("t", 2);
+  for (double cost : costs) {
+    auto ticket = admitted.AdmitJob("t");
+    ASSERT_TRUE(ticket.ok());
+    const double wait_ms = replayed.ReplayJob("t", cost).ValueOrDie();
+    EXPECT_EQ(wait_ms, ticket.value()->sim_wait_ms()) << "cost " << cost;
+    admitted.ReleaseJob(ticket.value().get(), cost);
+    EXPECT_EQ(replayed.RunningJobs("t"), 0);
+  }
+  const TenantStats a = admitted.StatsFor("t");
+  const TenantStats r = replayed.StatsFor("t");
+  EXPECT_EQ(r.jobs_admitted, a.jobs_admitted);
+  EXPECT_EQ(r.jobs_queued, a.jobs_queued);
+  EXPECT_GT(r.jobs_queued, 0);
+  EXPECT_EQ(r.wait_ms, a.wait_ms);
+  EXPECT_EQ(r.lanes_acquired, 0);
+  EXPECT_EQ(r.lanes_released, 0);
+
+  replayed.SetTenantSlots("crawler", 0);
+  const Result<double> rejected = replayed.ReplayJob("crawler", 10.0);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_NE(rejected.status().ToString().find("zero admission quota"),
+            std::string::npos);
+}
+
 // ---------------------------------------------------------------------
 // JobRunner integration
 

@@ -1,6 +1,7 @@
 // Tests for the Pigeon query server (src/server/, DESIGN.md §14): session
 // byte-parity with the standalone executor, the shared result cache
-// (hit == miss in rows and charges, version bumps invalidate), the
+// (hit == miss in rows and charges, a hit queues on the hitting tenant's
+// own admission ledger, version bumps invalidate), the
 // snapshot_version-0 re-pin fix, row ownership (sessions keep no rows,
 // hits share the cached row buffer), and deterministic concurrent serving
 // across admission seeds. The concurrent cases run under TSan via
@@ -561,6 +562,54 @@ TEST(QueryServerTest, ConcurrentCacheTrafficIsAccounted) {
   // At least the distinct keys missed; repeats within one session always
   // hit (requests are sequential per session).
   EXPECT_GE(server.result_cache().hits(), 4u);
+}
+
+TEST(QueryServerTest, CacheHitChargesTheHittingTenantsOwnAdmissionWait) {
+  // Sequential, so no race decides the outcome: tenant 0 produces the
+  // entry for Q after its own RANGE, tenant 1 hits it after a different
+  // RANGE. Each tenant queues on its own simulated lane ledger, so
+  // tenant 1's Q must cost what executing Q itself would have cost it.
+  const char* kQuery = "q = KNN idx POINT(450000, 550000) K 3; DUMP q;";
+  const char* kRange0 = "r = RANGE idx RECTANGLE(0, 0, 200000, 200000);";
+  const char* kRange1 = "r = RANGE idx RECTANGLE(0, 0, 700000, 700000);";
+
+  testing::TestCluster cluster;
+  SeedIndexedDataset(&cluster, 800);
+  QueryServer server(&cluster.fs, SmallClusterOptions());
+  ASSERT_TRUE(server.AttachDataset("idx", "/pts_idx").ok());
+  const SessionId t0 = server.OpenSession("tenant0", 1).ValueOrDie();
+  const SessionId t1 = server.OpenSession("tenant1", 1).ValueOrDie();
+  ASSERT_TRUE(server.Execute(t0, kRange0).ok());
+  const RequestResult produced = server.Execute(t0, kQuery).ValueOrDie();
+  ASSERT_TRUE(server.Execute(t1, kRange1).ok());
+  const RequestResult hit = server.Execute(t1, kQuery).ValueOrDie();
+  ASSERT_EQ(produced.result_cache_misses, 1);
+  ASSERT_EQ(hit.result_cache_hits, 1);
+
+  // Reference: the same two requests of tenant 1, executed, on a server
+  // with the cache off and the same tenants opened (same lane shares).
+  testing::TestCluster ref_cluster;
+  SeedIndexedDataset(&ref_cluster, 800);
+  ServerOptions ref_options = SmallClusterOptions();
+  ref_options.enable_result_cache = false;
+  QueryServer reference(&ref_cluster.fs, ref_options);
+  ASSERT_TRUE(reference.AttachDataset("idx", "/pts_idx").ok());
+  ASSERT_TRUE(reference.OpenSession("tenant0", 1).ok());
+  const SessionId ref_t1 = reference.OpenSession("tenant1", 1).ValueOrDie();
+  ASSERT_TRUE(reference.Execute(ref_t1, kRange1).ok());
+  const RequestResult executed =
+      reference.Execute(ref_t1, kQuery).ValueOrDie();
+
+  EXPECT_EQ(hit.rows, executed.rows);
+  ExpectSameCost(hit.cost, executed.cost);
+  EXPECT_DOUBLE_EQ(hit.sim_latency_ms, executed.sim_latency_ms);
+
+  // A repeat in tenant 1 replays what tenant 1 paid the first time.
+  const RequestResult repeat = server.Execute(t1, kQuery).ValueOrDie();
+  EXPECT_EQ(repeat.result_cache_hits, 1);
+  EXPECT_EQ(repeat.rows, hit.rows);
+  ExpectSameCost(repeat.cost, hit.cost);
+  EXPECT_DOUBLE_EQ(repeat.sim_latency_ms, hit.sim_latency_ms);
 }
 
 // ---------------------------------------------------------------------------
