@@ -72,8 +72,9 @@ TSAN_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
 #   - admission_test: cross-thread FIFO admission, quota blocking, lane
 #     accounting under concurrent tenants
 #   - catalog_test: snapshot reads racing concurrent catalog appends
+#   - index_builder_test: partition blocks laid out on the thread pool
 TSAN_SUITES=(mapreduce_test zero_copy_test fault_test robustness_test
-             admission_test catalog_test server_test)
+             admission_test catalog_test server_test index_builder_test)
 
 asan_phase() {
   cmake -B "${BUILD_DIR}" -S . \

@@ -540,26 +540,26 @@ Result<uint64_t> DatasetCatalog::Append(const std::string& name,
     } else {
       SHADOOP_ASSIGN_OR_RETURN(writer, fs->Create(delta_path));
     }
-    writer->set_auto_seal(false);  // One partition == one block, exactly.
+    std::vector<PartState*> rewritten;
+    std::vector<index::BlockRecords> blocks;
     for (PartState& ps : parts) {
       if (!ps.rewritten) continue;
-      ps.part.source_path = delta_path;
-      ps.part.block_index = base_block++;
-      ps.part.num_records = ps.records.size();
-      ps.part.num_bytes = 0;
-      Envelope mbr;
-      for (const Envelope& e : ps.envs) mbr.ExpandToInclude(e);
-      ps.part.mbr = mbr;
-      if (latest.has_local_indexes) {
-        const std::string header = index::EncodeLocalIndexHeader(ps.envs);
-        ps.part.num_bytes += header.size() + 1;
-        writer->Append(header);
-      }
-      for (const std::string& rec : ps.records) {
-        ps.part.num_bytes += rec.size() + 1;
-        writer->Append(rec);
-      }
-      writer->EndBlock();
+      rewritten.push_back(&ps);
+      index::BlockRecords& block = blocks.emplace_back();
+      block.records.assign(ps.records.begin(), ps.records.end());
+      block.envelopes = &ps.envs;
+    }
+    const std::vector<index::BlockLayout> layouts =
+        index::WritePartitionBlocks(shape, latest.has_local_indexes,
+                                    runner_->cluster().num_slots, blocks,
+                                    writer.get());
+    for (size_t i = 0; i < rewritten.size(); ++i) {
+      Partition& part = rewritten[i]->part;
+      part.source_path = delta_path;
+      part.block_index = base_block + i;
+      part.num_records = rewritten[i]->records.size();
+      part.mbr = layouts[i].mbr;
+      part.num_bytes = layouts[i].num_bytes;
     }
     SHADOOP_RETURN_NOT_OK(writer->Close());
   }

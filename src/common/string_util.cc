@@ -1,9 +1,10 @@
 #include "common/string_util.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstring>
 
 namespace shadoop {
 
@@ -77,15 +78,36 @@ Result<int64_t> ParseInt64(std::string_view text) {
 }
 
 std::string FormatDouble(double value) {
-  // Try increasing precision until the text round-trips exactly.
   char buf[40];
-  for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
-    double parsed = 0.0;
-    std::from_chars(buf, buf + std::strlen(buf), parsed);
-    if (parsed == value) break;
+  if (!std::isfinite(value)) {
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+    return buf;
   }
-  return buf;
+  // The shortest round-trip form has d significant digits. For d <= 15
+  // the 15-digit rounding is that form padded, so it round-trips; d = 17
+  // needs 17. Only at d = 16 can the 16-digit rounding miss (at a power
+  // of two the rounding interval is narrower below the value), so only
+  // there is the text re-parsed.
+  char* end = std::to_chars(buf, buf + sizeof(buf), value,
+                            std::chars_format::scientific)
+                  .ptr;
+  int digits = 0;
+  for (const char* p = buf; p != end && *p != 'e'; ++p) {
+    digits += *p >= '0' && *p <= '9';
+  }
+  end = std::to_chars(buf, buf + sizeof(buf), value,
+                      std::chars_format::general, std::max(15, digits))
+            .ptr;
+  if (digits == 16) {
+    double parsed = 0.0;
+    std::from_chars(buf, end, parsed);
+    if (parsed != value) {
+      end = std::to_chars(buf, buf + sizeof(buf), value,
+                          std::chars_format::general, 17)
+                .ptr;
+    }
+  }
+  return std::string(buf, end);
 }
 
 bool StartsWithIgnoreCase(std::string_view text, std::string_view prefix) {

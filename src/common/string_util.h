@@ -51,7 +51,11 @@ std::string_view StripWhitespace(std::string_view text);
 Result<double> ParseDouble(std::string_view text);
 Result<int64_t> ParseInt64(std::string_view text);
 
-/// Formats a double with enough digits to round-trip (shortest-exact).
+/// Formats a double as printf's "%.Pg" for the first precision P in
+/// 15, 16, 17 whose text parses back to exactly `value` (P = 17 always
+/// does). Non-finite values print as "%.17g" does ("inf", "-inf",
+/// "nan"). Record, master-file and `#lidx` bytes depend on this exact
+/// text, so it must not change.
 std::string FormatDouble(double value);
 
 /// True if `text` starts with `prefix` (ASCII case-insensitive).

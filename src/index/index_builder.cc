@@ -1,13 +1,13 @@
 #include "index/index_builder.h"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 
 #include "common/random.h"
 #include "common/string_util.h"
 #include "geometry/wkt.h"
 #include "index/partitioner.h"
+#include "mapreduce/thread_pool.h"
 
 namespace shadoop::index {
 namespace {
@@ -212,46 +212,41 @@ Result<SpatialFileInfo> IndexBuilder::Build(const std::string& source_path,
   SHADOOP_RETURN_NOT_OK(partition_result.status);
   AccumulateCost(&info.build_cost, partition_result.cost);
 
-  // Group routed records by cell id.
-  std::map<int, std::vector<std::string>> cells;
-  for (std::string& line : partition_result.output) {
+  // Group routed records by cell id, as views into the job output.
+  std::vector<BlockRecords> cells(partitioner->NumCells());
+  for (const std::string& line : partition_result.output) {
     const size_t tab = line.find('\t');
     if (tab == std::string::npos) continue;
-    SHADOOP_ASSIGN_OR_RETURN(int64_t cell, ParseInt64(line.substr(0, tab)));
-    cells[static_cast<int>(cell)].push_back(line.substr(tab + 1));
+    SHADOOP_ASSIGN_OR_RETURN(int64_t cell,
+                             ParseInt64(std::string_view(line).substr(0, tab)));
+    if (cell < 0 || cell >= static_cast<int64_t>(cells.size())) {
+      return Status::Internal("partition job routed to unknown cell " +
+                              std::to_string(cell));
+    }
+    cells[cell].records.push_back(std::string_view(line).substr(tab + 1));
   }
 
   // Lay out one cell per HDFS block; drop empty cells (standard practice:
   // the global index only records materialized partitions).
+  std::vector<int> cell_ids;
+  for (size_t c = 0; c < cells.size(); ++c) {
+    if (!cells[c].records.empty()) cell_ids.push_back(static_cast<int>(c));
+  }
+  std::erase_if(cells, [](const BlockRecords& b) { return b.records.empty(); });
   SHADOOP_ASSIGN_OR_RETURN(std::unique_ptr<hdfs::FileWriter> writer,
                            fs->Create(dest_path));
-  writer->set_auto_seal(false);  // One partition == one block, exactly.
-  std::vector<Partition> partitions;
-  size_t block_index = 0;
-  for (auto& [cell_id, records] : cells) {
-    Partition part;
-    part.id = static_cast<int>(partitions.size());
-    part.block_index = block_index++;
-    part.cell = partitioner->CellExtent(cell_id);
-    part.num_records = records.size();
-    std::vector<Envelope> envelopes;
-    envelopes.reserve(records.size());
-    for (const std::string& record : records) {
-      auto env = RecordEnvelope(shape, record);
-      if (env.ok()) part.mbr.ExpandToInclude(env.value());
-      envelopes.push_back(env.ok() ? env.value() : Envelope());
-    }
-    if (options.build_local_indexes) {
-      const std::string header = EncodeLocalIndexHeader(envelopes);
-      part.num_bytes += header.size() + 1;
-      writer->Append(header);
-    }
-    for (const std::string& record : records) {
-      part.num_bytes += record.size() + 1;
-      writer->Append(record);
-    }
-    writer->EndBlock();
-    partitions.push_back(std::move(part));
+  const std::vector<BlockLayout> layouts = WritePartitionBlocks(
+      shape, options.build_local_indexes, runner_->cluster().num_slots, cells,
+      writer.get());
+  std::vector<Partition> partitions(cells.size());
+  for (size_t i = 0; i < cells.size(); ++i) {
+    Partition& part = partitions[i];
+    part.id = static_cast<int>(i);
+    part.block_index = i;
+    part.cell = partitioner->CellExtent(cell_ids[i]);
+    part.num_records = cells[i].records.size();
+    part.mbr = layouts[i].mbr;
+    part.num_bytes = layouts[i].num_bytes;
   }
   SHADOOP_RETURN_NOT_OK(writer->Close());
 
@@ -269,6 +264,44 @@ Result<SpatialFileInfo> IndexBuilder::Build(const std::string& source_path,
   }
   SHADOOP_RETURN_NOT_OK(fs->WriteLines(info.master_path, master_lines));
   return info;
+}
+
+std::vector<BlockLayout> WritePartitionBlocks(
+    ShapeType shape, bool local_index, int max_parallelism,
+    const std::vector<BlockRecords>& blocks, hdfs::FileWriter* writer) {
+  std::vector<BlockLayout> layouts(blocks.size());
+  std::vector<std::string> headers(blocks.size());
+  mapreduce::ThreadPool::Shared().ParallelFor(
+      blocks.size(), max_parallelism, [&](size_t i) {
+        const BlockRecords& block = blocks[i];
+        std::vector<Envelope> parsed;
+        if (block.envelopes == nullptr) {
+          parsed.reserve(block.records.size());
+          for (std::string_view record : block.records) {
+            auto env = RecordEnvelope(shape, record);
+            parsed.push_back(env.ok() ? env.value() : Envelope());
+          }
+        }
+        const std::vector<Envelope>& envelopes =
+            block.envelopes != nullptr ? *block.envelopes : parsed;
+        BlockLayout& layout = layouts[i];
+        for (const Envelope& env : envelopes) layout.mbr.ExpandToInclude(env);
+        if (local_index) {
+          headers[i] = EncodeLocalIndexHeader(envelopes);
+          layout.num_bytes += headers[i].size() + 1;
+        }
+        for (std::string_view record : block.records) {
+          layout.num_bytes += record.size() + 1;
+        }
+      });
+  writer->set_auto_seal(false);  // One partition == one block, exactly.
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    if (local_index) writer->Append(headers[i]);
+    for (std::string_view record : blocks[i].records) writer->Append(record);
+    writer->EndBlock();
+    std::string().swap(headers[i]);
+  }
+  return layouts;
 }
 
 Result<SpatialFileInfo> LoadSpatialFile(const hdfs::FileSystem& fs,

@@ -2,8 +2,11 @@
 #define SHADOOP_INDEX_INDEX_BUILDER_H_
 
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/result.h"
+#include "hdfs/file_system.h"
 #include "index/global_index.h"
 #include "index/record_shape.h"
 #include "mapreduce/job_runner.h"
@@ -66,6 +69,30 @@ class IndexBuilder {
  private:
   mapreduce::JobRunner* runner_;
 };
+
+/// The records of one partition block, in block order. `envelopes` is
+/// null when the layout should parse each record's envelope; otherwise it
+/// holds one per record (empty for a record that does not parse).
+struct BlockRecords {
+  std::vector<std::string_view> records;
+  const std::vector<Envelope>* envelopes = nullptr;
+};
+
+/// What laying out one partition block computed.
+struct BlockLayout {
+  Envelope mbr;  // Union of the records' envelopes.
+  uint64_t num_bytes = 0;
+};
+
+/// Writes each of `blocks` through `writer` as exactly one HDFS block,
+/// in order, preceded by its `#lidx` header when `local_index` is set.
+/// The per-block work (envelopes, MBR, header, size) runs on the shared
+/// thread pool with at most `max_parallelism` lanes; the writes stay
+/// serial, so the bytes never depend on the lane count. This is master
+/// host time: it carries no simulated charge.
+std::vector<BlockLayout> WritePartitionBlocks(
+    ShapeType shape, bool local_index, int max_parallelism,
+    const std::vector<BlockRecords>& blocks, hdfs::FileWriter* writer);
 
 /// Opens an existing indexed file by reading its master file.
 Result<SpatialFileInfo> LoadSpatialFile(const hdfs::FileSystem& fs,

@@ -513,32 +513,29 @@ JobResult JobRunner::RunAdmitted(const JobConfig& job, int lanes,
   // ------------------------------------------------------------------
   // Shuffle: route each map task's buckets to reduce task inputs. Only
   // (buffer, offset) references move; the bytes stay in the map tasks'
-  // buffers, which outlive the reduce phase.
-  std::vector<std::vector<ShuffleRef>> reduce_inputs(num_reducers);
+  // buffers, which outlive the reduce phase. Each reducer gathers its own
+  // bucket from every map task in map order, then sorts it once, before
+  // any attempt runs: concurrent speculative attempts then share the
+  // sorted run read-only, so a re-executed reducer sees bit-identical
+  // input.
   uint64_t shuffle_bytes = 0;
-  for (size_t i = 0; i < num_maps; ++i) {
-    MapContextImpl& ctx = *map_ctxs[i];
-    shuffle_bytes += ctx.emitted_bytes_;
-    for (int r = 0; r < num_reducers; ++r) {
-      auto& bucket = ctx.emitted_[r];
-      reduce_inputs[r].reserve(reduce_inputs[r].size() + bucket.size());
+  for (const auto& ctx : map_ctxs) shuffle_bytes += ctx->emitted_bytes_;
+  std::vector<std::vector<ShuffleRef>> reduce_inputs(num_reducers);
+  ParallelFor(static_cast<size_t>(num_reducers), lanes, [&](size_t r) {
+    std::vector<ShuffleRef>& input = reduce_inputs[r];
+    size_t count = 0;
+    for (const auto& ctx : map_ctxs) count += ctx->emitted_[r].size();
+    input.reserve(count);
+    for (const auto& ctx : map_ctxs) {
+      std::vector<EmitSlice>& bucket = ctx->emitted_[r];
       for (const EmitSlice& s : bucket) {
-        reduce_inputs[r].push_back(
-            {&ctx.buffer_, s.offset, s.key_len, s.value_len});
+        input.push_back({&ctx->buffer_, s.offset, s.key_len, s.value_len});
       }
       bucket.clear();
       bucket.shrink_to_fit();
     }
-  }
-
-  // Sort each reduce input once, before any attempt runs: concurrent
-  // speculative attempts then share the sorted run read-only, so a
-  // re-executed reducer sees bit-identical input.
-  ParallelFor(static_cast<size_t>(num_reducers), lanes,
-              [&](size_t r) {
-                std::sort(reduce_inputs[r].begin(), reduce_inputs[r].end(),
-                          ShuffleRefLess);
-              });
+    std::sort(input.begin(), input.end(), ShuffleRefLess);
+  });
 
   // ------------------------------------------------------------------
   // Reduce phase, under the same attempt scheduler as the map phase.

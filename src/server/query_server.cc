@@ -249,8 +249,8 @@ Status QueryServer::ExecuteSessionStatement(Session& session,
   }
 
   // First meeting with the key: whether this session executes or takes
-  // another session's rows, it pays the same job charges and queues each
-  // job through its own tenant's lane ledger.
+  // another session's rows, it pays the same job charges, queues each
+  // job through its own tenant's lane ledger and counts a miss.
   auto paid = std::make_shared<CachedResult>();
   if (hit != nullptr) {
     *paid = *hit;
@@ -270,7 +270,7 @@ Status QueryServer::ExecuteSessionStatement(Session& session,
     }
     ReplayEntry(session, stmt, *paid);
     session.paid.Insert(key, std::move(paid));
-    session.report.stats.counters.Increment("cache.result_hits");
+    session.report.stats.counters.Increment("cache.result_misses");
     return Status::OK();
   }
 

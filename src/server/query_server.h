@@ -74,7 +74,9 @@ struct SessionStream {
 ///     a key depend only on its own statement stream: the first time it
 ///     meets the key it pays the entry's job charges and queues each job
 ///     through its own tenant's lane ledger, the same as executing would;
-///     every repeat replays what it paid that first time.
+///     every repeat replays what it paid that first time. The session
+///     counts that first meeting as a result-cache miss and each repeat
+///     as a hit, so EXPLAIN's `result_cache:` segment is interleaving-free.
 ///   - A session keeps cumulative charges, counters and jobs_run, but no
 ///     rows: each request's rows are moved into its RequestResult, so a
 ///     long-lived session's memory does not grow with what it dumped.

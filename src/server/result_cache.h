@@ -102,10 +102,11 @@ class ResultCache {
     return map_.size();
   }
 
-  /// Lifetime Lookup() outcomes across all sessions. Per-run totals are
-  /// deterministic for a fixed request mix (misses = distinct keys,
-  /// hits = lookups - misses), even though which session scores a given
-  /// hit depends on the interleaving.
+  /// Lifetime Lookup() outcomes across all sessions (host channel).
+  /// hits + misses is the number of lookups, but the split depends on the
+  /// interleaving: sessions that meet a key concurrently may all miss it
+  /// before one inserts. Sessions count their own outcomes by their own
+  /// statement stream instead (QueryServer), which is what EXPLAIN shows.
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
 

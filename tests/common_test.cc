@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <charconv>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "common/random.h"
 #include "common/result.h"
@@ -108,6 +115,108 @@ TEST(StringUtilTest, FormatDoubleRoundTrips) {
                    1e6, 0.1}) {
     EXPECT_DOUBLE_EQ(ParseDouble(FormatDouble(v)).ValueOrDie(), v);
   }
+}
+
+/// The three-pass FormatDouble: "%.Pg" for the first P in 15..17 that
+/// parses back exactly. Kept as the byte-level reference for the
+/// single-pass implementation.
+std::string ThreePassFormatDouble(double value) {
+  char buf[40];
+  for (int precision = 15; precision <= 17; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
+    double parsed = 0.0;
+    std::from_chars(buf, buf + std::strlen(buf), parsed);
+    if (parsed == value) break;
+  }
+  return buf;
+}
+
+double FromBits(uint64_t bits) {
+  double v = 0.0;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+/// One seeded double from the class `kind` selects: raw bit patterns,
+/// integers, powers of two, the neighbourhoods of the %g exponent switch
+/// (1e-4) and of 1e15..1e17 (where 15, 16 and 17 digits part ways),
+/// subnormals, coordinate-like values, short decimals and specials.
+double ParityValue(Random& rng, int kind) {
+  const double sign = rng.NextBool() ? -1.0 : 1.0;
+  switch (kind) {
+    case 0:
+      return FromBits(rng.NextUint64());
+    case 1:
+      return sign * static_cast<double>(rng.NextUint64() >>
+                                        (11 + rng.NextUint32(53)));
+    case 2:
+      return sign * std::ldexp(1.0 + rng.NextUint32(8),
+                               static_cast<int>(rng.NextUint32(2098)) - 1077);
+    case 3: {
+      static constexpr double kEdges[] = {1e-5, 1e-4, 1e-3, 1e14,
+                                          1e15, 1e16, 1e17, 1e18};
+      double v = kEdges[rng.NextUint32(8)] * (1.0 + rng.NextDouble(-1, 1) *
+                                                        (rng.NextBool() ? 1e-3
+                                                                        : 0.0));
+      for (uint32_t steps = rng.NextUint32(6); steps > 0; --steps) {
+        v = std::nextafter(v, rng.NextBool() ? 0.0 : 1e300);
+      }
+      return sign * v;
+    }
+    case 4:
+      return FromBits(rng.NextUint64() & 0x800fffffffffffffULL);
+    case 5:
+      return rng.NextDouble(0, 1e6);
+    case 6:
+      return sign * static_cast<double>(rng.NextUint64(100000000)) /
+             std::pow(10.0, static_cast<double>(rng.NextUint32(9)));
+    default: {
+      constexpr double kInf = std::numeric_limits<double>::infinity();
+      static constexpr double kSpecials[] = {
+          0.0, kInf, std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::max(),
+          std::numeric_limits<double>::min(),
+          std::numeric_limits<double>::denorm_min(), 1.0, 0.1};
+      const double v = kSpecials[rng.NextUint32(8)];
+      return rng.NextBool() ? sign * v : std::nextafter(sign * v, 0.0);
+    }
+  }
+}
+
+TEST(StringUtilTest, FormatDoubleMatchesThreePassReferenceBytes) {
+  // 4 seeded streams of 2.5M values each, one per thread.
+  constexpr int kStreams = 4;
+  constexpr size_t kValuesPerStream = 2'500'000;
+  std::vector<size_t> mismatches(kStreams, 0);
+  std::vector<std::string> first_mismatch(kStreams);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kStreams; ++t) {
+    threads.emplace_back([t, &mismatches, &first_mismatch] {
+      Random rng(20261020 + t);
+      for (size_t i = 0; i < kValuesPerStream; ++i) {
+        const double v = ParityValue(rng, static_cast<int>(i % 8));
+        const std::string got = FormatDouble(v);
+        const std::string want = ThreePassFormatDouble(v);
+        if (got == want) continue;
+        if (mismatches[t]++ == 0) {
+          char hex[40];
+          std::snprintf(hex, sizeof(hex), "%a", v);
+          first_mismatch[t] = std::string(hex) + ": " + got + " vs " + want;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kStreams; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "first: " << first_mismatch[t];
+  }
+  for (double v : {0.0, -0.0, 1e300 * 1e300, -1e300 * 1e300}) {
+    EXPECT_EQ(FormatDouble(v), ThreePassFormatDouble(v));
+  }
+  EXPECT_EQ(FormatDouble(-0.0), "-0");
+  EXPECT_EQ(FormatDouble(0.1), "0.1");
+  EXPECT_EQ(FormatDouble(1e-4), "0.0001");
+  EXPECT_EQ(FormatDouble(1e-5), "1e-05");
 }
 
 TEST(StringUtilTest, CaseHelpers) {

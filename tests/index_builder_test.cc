@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "catalog/dataset_catalog.h"
 #include "geometry/wkt.h"
 #include "index/index_builder.h"
 #include "test_util.h"
@@ -149,6 +150,103 @@ TEST(IndexBuilderTest, TargetPartitionsHonoured) {
   const SpatialFileInfo built =
       builder.Build("/points", "/points.idx", options).ValueOrDie();
   EXPECT_EQ(built.global_index.NumPartitions(), 8u);
+}
+
+// The block layout and the shuffle run on up to num_slots host threads.
+// Data blocks and master lines must not depend on the slot count, and at
+// each slot count a build must equal one nested in a pool task, where
+// every ParallelFor runs serially. (The simulated charges legitimately
+// depend on num_slots: the makespan model schedules tasks on that many
+// machines, and the partition job uses up to that many reducers.)
+constexpr int kSlotCounts[] = {1, 2, 24};
+
+struct LayoutSnapshot {
+  std::vector<std::string> blocks;
+  std::vector<std::string> master;
+  mapreduce::JobCost cost;
+};
+
+LayoutSnapshot BuildWithLocalIndexes(int num_slots, bool in_pool_task) {
+  testing::TestCluster cluster(4 * 1024, num_slots);
+  testing::WritePoints(&cluster.fs, "/points", 3000,
+                       workload::Distribution::kClustered);
+  IndexBuilder builder(&cluster.runner);
+  IndexBuildOptions options;
+  options.build_local_indexes = true;
+  Result<SpatialFileInfo> built = Status::Internal("not run");
+  const auto build = [&] { built = builder.Build("/points", "/idx", options); };
+  if (in_pool_task) {
+    testing::RunAsPoolTask(build);
+  } else {
+    build();
+  }
+  SHADOOP_CHECK_OK(built.status());
+  return {testing::BlockPayloads(cluster.fs, "/idx"),
+          cluster.fs.ReadLines("/idx_master").ValueOrDie(),
+          built->build_cost};
+}
+
+TEST(IndexBuilderTest, LocalIndexBuildIsIdenticalAcrossLaneCounts) {
+  const LayoutSnapshot reference = BuildWithLocalIndexes(1, false);
+  ASSERT_GT(reference.blocks.size(), 8u);
+  ASSERT_EQ(reference.blocks[0].rfind("#lidx ", 0), 0u);
+  for (int slots : kSlotCounts) {
+    const LayoutSnapshot parallel = BuildWithLocalIndexes(slots, false);
+    const LayoutSnapshot serial = BuildWithLocalIndexes(slots, true);
+    EXPECT_EQ(parallel.blocks, reference.blocks) << slots << " slots";
+    EXPECT_EQ(serial.blocks, reference.blocks) << slots << " slots";
+    EXPECT_EQ(parallel.master, reference.master) << slots << " slots";
+    EXPECT_EQ(serial.master, reference.master) << slots << " slots";
+    EXPECT_EQ(testing::CostFields(parallel.cost),
+              testing::CostFields(serial.cost))
+        << slots << " slots";
+  }
+}
+
+LayoutSnapshot AppendWithLocalIndexes(int num_slots, bool in_pool_task) {
+  testing::TestCluster cluster(4 * 1024, num_slots);
+  testing::WritePoints(&cluster.fs, "/points", 3000,
+                       workload::Distribution::kClustered);
+  testing::WritePoints(&cluster.fs, "/batch", 800,
+                       workload::Distribution::kUniform, 7);
+  catalog::DatasetCatalog catalog(&cluster.runner);
+  IndexBuildOptions options;
+  options.build_local_indexes = true;
+  SHADOOP_CHECK_OK(
+      catalog.Create("pts", "/points", "/idx", options).status());
+  core::OpStats stats;
+  Result<uint64_t> version = Status::Internal("not run");
+  const auto append = [&] { version = catalog.Append("pts", "/batch", &stats); };
+  if (in_pool_task) {
+    testing::RunAsPoolTask(append);
+  } else {
+    append();
+  }
+  SHADOOP_CHECK_OK(version.status());
+  return {testing::BlockPayloads(
+              cluster.fs, catalog::DatasetCatalog::DeltaPathFor("/idx")),
+          cluster.fs
+              .ReadLines(catalog::DatasetCatalog::VersionMasterPathFor(
+                  "/idx", version.value()))
+              .ValueOrDie(),
+          stats.cost};
+}
+
+TEST(IndexBuilderTest, LocalIndexAppendIsIdenticalAcrossLaneCounts) {
+  const LayoutSnapshot reference = AppendWithLocalIndexes(1, false);
+  ASSERT_GT(reference.blocks.size(), 4u);
+  ASSERT_EQ(reference.blocks[0].rfind("#lidx ", 0), 0u);
+  for (int slots : kSlotCounts) {
+    const LayoutSnapshot parallel = AppendWithLocalIndexes(slots, false);
+    const LayoutSnapshot serial = AppendWithLocalIndexes(slots, true);
+    EXPECT_EQ(parallel.blocks, reference.blocks) << slots << " slots";
+    EXPECT_EQ(serial.blocks, reference.blocks) << slots << " slots";
+    EXPECT_EQ(parallel.master, reference.master) << slots << " slots";
+    EXPECT_EQ(serial.master, reference.master) << slots << " slots";
+    EXPECT_EQ(testing::CostFields(parallel.cost),
+              testing::CostFields(serial.cost))
+        << slots << " slots";
+  }
 }
 
 }  // namespace

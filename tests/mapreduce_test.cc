@@ -220,6 +220,39 @@ TEST(MapReduceTest, SimulatedCostIsDeterministic) {
   EXPECT_EQ(r1.output, r2.output);
 }
 
+TEST(MapReduceTest, MultiReducerJobIsIdenticalAcrossLaneCounts) {
+  // The shuffle gathers and sorts each reducer's input on up to `lanes`
+  // host threads. Output must not depend on the lane count, and at each
+  // lane count the job must equal a run nested in a pool task, where
+  // every ParallelFor runs serially. (The makespans legitimately depend
+  // on the lane count: the cost model schedules on that many machines.)
+  std::vector<std::string> lines;
+  for (int i = 0; i < 3000; ++i) {
+    lines.push_back("w" + std::to_string(i % 97) + " v" +
+                    std::to_string(i % 13) + " w" + std::to_string(i % 31));
+  }
+  std::vector<std::string> reference;
+  for (int lanes : {1, 2, 24}) {
+    testing::TestCluster cluster(4 * 1024, lanes);
+    ASSERT_TRUE(cluster.fs.WriteLines("/in", lines).ok());
+    const JobResult parallel =
+        cluster.runner.Run(WordCountJob(cluster.fs, "/in", 7));
+    JobResult serial;
+    testing::RunAsPoolTask([&] {
+      serial = cluster.runner.Run(WordCountJob(cluster.fs, "/in", 7));
+    });
+    ASSERT_TRUE(parallel.status.ok()) << parallel.status.ToString();
+    ASSERT_TRUE(serial.status.ok()) << serial.status.ToString();
+    ASSERT_GE(parallel.cost.num_map_tasks, 8);
+    if (reference.empty()) reference = parallel.output;
+    EXPECT_EQ(parallel.output, reference) << lanes << " lanes";
+    EXPECT_EQ(serial.output, reference) << lanes << " lanes";
+    EXPECT_EQ(testing::CostFields(parallel.cost),
+              testing::CostFields(serial.cost))
+        << lanes << " lanes";
+  }
+}
+
 TEST(MakespanTest, GreedyScheduling) {
   EXPECT_DOUBLE_EQ(Makespan({}, 4), 0.0);
   EXPECT_DOUBLE_EQ(Makespan({5.0}, 4), 5.0);

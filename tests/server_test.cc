@@ -9,6 +9,7 @@
 #include "server/query_server.h"
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -181,7 +182,10 @@ TEST(QueryServerTest, CacheIsSharedAcrossSessions) {
   const RequestResult first = server.Execute(s1, kQuery).ValueOrDie();
   const RequestResult second = server.Execute(s2, kQuery).ValueOrDie();
   EXPECT_EQ(first.result_cache_misses, 1);
-  EXPECT_EQ(second.result_cache_hits, 1);
+  // s2's first meeting with the key: a miss for the session, a hit in
+  // the shared cache.
+  EXPECT_EQ(second.result_cache_misses, 1);
+  EXPECT_EQ(server.result_cache().hits(), 1u);
   EXPECT_EQ(second.rows, first.rows);
   ExpectSameCost(second.cost, first.cost);
 }
@@ -238,7 +242,8 @@ TEST(QueryServerTest, PlanFingerprintChangeInvalidatesCacheKey) {
   const SessionId s2 = server.OpenSession().ValueOrDie();
   const RequestResult shared = server.Execute(s2, kCount).ValueOrDie();
   EXPECT_EQ(shared.rows, std::vector<std::string>{"500"});
-  EXPECT_EQ(shared.result_cache_hits, 1);
+  EXPECT_EQ(shared.result_cache_misses, 1);  // s2's first meeting.
+  EXPECT_EQ(server.result_cache().hits(), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -293,13 +298,15 @@ TEST(QueryServerTest, TwoSessionsPinDifferentVersionsOfOneDataset) {
   EXPECT_EQ(old_pin.result_cache_misses, 1);
   EXPECT_EQ(new_pin.result_cache_misses, 1);
 
-  // After s1 re-pins to latest it converges with s2 — and scores a hit
-  // on the entry s2 just produced.
+  // After s1 re-pins to latest it converges with s2 — and takes the
+  // entry s2 just produced (a shared-cache hit; s1's first meeting with
+  // the key, so the session counts a miss).
   const RequestResult converged =
       server.Execute(s1, std::string("SET snapshot_version 0; ") + kCount)
           .ValueOrDie();
   EXPECT_EQ(converged.rows, new_pin.rows);
-  EXPECT_EQ(converged.result_cache_hits, 1);
+  EXPECT_EQ(converged.result_cache_misses, 1);
+  EXPECT_EQ(server.result_cache().hits(), 1u);
   ExpectSameCost(converged.cost, new_pin.cost);
 }
 
@@ -394,7 +401,7 @@ TEST(QueryServerTest, CacheHitBindsStoredRowBuffer) {
       server.Execute(s2, "b = RANGE idx RECTANGLE(0, 0, 500000, 500000);")
           .ValueOrDie();
   ASSERT_EQ(miss.result_cache_misses, 1);
-  ASSERT_EQ(hit.result_cache_hits, 1);
+  ASSERT_EQ(server.result_cache().hits(), 1u);
 
   // The miss stored its binding's buffer; the hit bound that same buffer.
   const pigeon::Dataset stored = server.Binding(s1, "a").ValueOrDie();
@@ -554,14 +561,44 @@ TEST(QueryServerTest, ConcurrentCacheTrafficIsAccounted) {
     }
   }
   // Every cacheable assignment consulted the cache exactly once (4
-  // sessions x 4 queries). Which side of the race a given request landed
-  // on is interleaving-dependent; the total is not.
+  // sessions x 4 queries). The shared cache's hit/miss split depends on
+  // the interleaving; its total does not.
   EXPECT_EQ(lookups, 16);
   EXPECT_EQ(server.result_cache().hits() + server.result_cache().misses(),
             16u);
   // At least the distinct keys missed; repeats within one session always
   // hit (requests are sequential per session).
   EXPECT_GE(server.result_cache().hits(), 4u);
+}
+
+TEST(QueryServerTest, ExplainCacheSegmentIsInterleavingFree) {
+  // 4 tenant sessions meet one key at once; whichever of them executes
+  // and whichever take its entry, each session's EXPLAIN counts its own
+  // first meeting as a miss.
+  testing::TestCluster cluster;
+  SeedIndexedDataset(&cluster, 800);
+  std::set<std::string> explains;
+  for (int rep = 0; rep < 40; ++rep) {
+    QueryServer server(&cluster.fs, SmallClusterOptions());
+    ASSERT_TRUE(server.AttachDataset("idx", "/pts_idx").ok());
+    std::vector<SessionStream> streams;
+    for (int i = 0; i < 4; ++i) {
+      const SessionId id =
+          server.OpenSession("tenant" + std::to_string(i), 1).ValueOrDie();
+      streams.push_back(SessionStream{
+          id, {"c = KNN idx POINT(450000, 550000) K 3; EXPLAIN c;"}});
+    }
+    const auto results = server.ExecuteConcurrent(streams).ValueOrDie();
+    for (const auto& stream : results) {
+      ASSERT_EQ(stream.size(), 1u);
+      ASSERT_EQ(stream[0].rows.size(), 1u);
+      explains.insert(stream[0].rows[0]);
+    }
+  }
+  ASSERT_EQ(explains.size(), 1u);
+  EXPECT_NE(explains.begin()->find("; result_cache: hits=0, misses=1"),
+            std::string::npos)
+      << *explains.begin();
 }
 
 TEST(QueryServerTest, CacheHitChargesTheHittingTenantsOwnAdmissionWait) {
@@ -584,7 +621,8 @@ TEST(QueryServerTest, CacheHitChargesTheHittingTenantsOwnAdmissionWait) {
   ASSERT_TRUE(server.Execute(t1, kRange1).ok());
   const RequestResult hit = server.Execute(t1, kQuery).ValueOrDie();
   ASSERT_EQ(produced.result_cache_misses, 1);
-  ASSERT_EQ(hit.result_cache_hits, 1);
+  ASSERT_EQ(hit.result_cache_misses, 1);  // Tenant 1's first meeting.
+  ASSERT_EQ(server.result_cache().hits(), 1u);
 
   // Reference: the same two requests of tenant 1, executed, on a server
   // with the cache off and the same tenants opened (same lane shares).

@@ -1,13 +1,16 @@
 #ifndef SHADOOP_TESTS_TEST_UTIL_H_
 #define SHADOOP_TESTS_TEST_UTIL_H_
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "hdfs/file_system.h"
 #include "index/index_builder.h"
 #include "mapreduce/job_runner.h"
+#include "mapreduce/thread_pool.h"
 #include "workload/generators.h"
 
 namespace shadoop::testing {
@@ -60,6 +63,37 @@ inline index::SpatialFileInfo BuildIndex(
   options.scheme = scheme;
   options.shape = shape;
   return builder.Build(src, dst, options).ValueOrDie();
+}
+
+/// Runs `fn` as a task of the shared thread pool. The pool runs nested
+/// ParallelFor calls serially there, so everything `fn` does runs on one
+/// thread.
+inline void RunAsPoolTask(const std::function<void()>& fn) {
+  mapreduce::ThreadPool::Shared().ParallelFor(2, 2, [&fn](size_t i) {
+    if (i == 0) fn();
+  });
+}
+
+/// Every JobCost field, so EXPECT_EQ compares two costs bit for bit.
+inline auto CostFields(const mapreduce::JobCost& c) {
+  return std::make_tuple(c.total_ms, c.map_makespan_ms, c.shuffle_ms,
+                         c.reduce_makespan_ms, c.bytes_read, c.bytes_shuffled,
+                         c.bytes_written, c.num_map_tasks, c.num_reduce_tasks,
+                         c.task_retries, c.speculative_launched,
+                         c.speculative_won, c.replica_failovers,
+                         c.admission_queued, c.admission_wait_ms,
+                         c.admission_preempted_specs);
+}
+
+/// The raw payload of every block of `path`, in block order.
+inline std::vector<std::string> BlockPayloads(const hdfs::FileSystem& fs,
+                                              const std::string& path) {
+  std::vector<std::string> payloads;
+  const size_t num_blocks = fs.GetFileMeta(path).ValueOrDie().blocks.size();
+  for (size_t i = 0; i < num_blocks; ++i) {
+    payloads.push_back(*fs.ReadBlockRaw(path, i).ValueOrDie());
+  }
+  return payloads;
 }
 
 /// All spatial partitioning schemes, for parameterized suites.
