@@ -19,14 +19,18 @@
 // Usage:
 //   bench_hotpath --label <name> [--out results.json] [--reps N]
 //                 [--only <benchmark-name>]
-//   bench_hotpath --merge baseline.json current.json
+//   bench_hotpath --merge base1.json[,base2.json...] cur1.json[,cur2.json...]
 //
-// The merge mode pairs benchmarks by name, computes speedups, prints the
-// combined report (scripts/bench.sh redirects it to BENCH_pr8.json), and
-// exits non-zero if an invariant failed: geometry parses exceeding the
-// record-visit bound, or fault-injected output diverging from the clean
-// run. Benchmarks with no baseline row are still emitted, with baseline
-// fields set to -1. The harness compiles against the baseline tree too
+// The merge mode takes one or more reports per side (scripts/bench.sh
+// writes one per rep, alternating the two binaries), pairs benchmarks by
+// name, reports each side's median wall time with its min/max spread and
+// the ratio of the medians as the speedup, prints the combined report
+// (scripts/bench.sh writes it to $OUT, e.g. a committed BENCH_pr<N>.json),
+// and exits non-zero if an invariant failed: geometry parses exceeding
+// the record-visit bound, a checksum that differs between reps, or
+// fault-injected output diverging from the clean run. Benchmarks with
+// no baseline row are still emitted, with baseline fields set to -1.
+// The harness compiles against the baseline tree too
 // (scripts/bench.sh copies it into the baseline build), and every
 // baseline that script builds has the parse counters and every
 // subsystem a scenario uses, so all scenarios run on both sides.
@@ -45,6 +49,7 @@
 #include <vector>
 
 #include "catalog/dataset_catalog.h"
+#include "common/string_util.h"
 #include "core/range_query.h"
 #include "core/spatial_join.h"
 #include "fault/fault_injector.h"
@@ -794,52 +799,121 @@ bool LoadRun(const std::string& path, ParsedRun* run) {
   return !run->benchmarks.empty();
 }
 
-int Merge(const std::string& baseline_path, const std::string& current_path) {
-  ParsedRun baseline, current;
-  if (!LoadRun(baseline_path, &baseline) || !LoadRun(current_path, &current)) {
+/// One benchmark over the repeated runs of one side: wall-clock median
+/// and spread, plus the deterministic fields (which must agree).
+struct Summary {
+  BenchResult first;  // Deterministic fields, from the first run.
+  double median_ms = -1;
+  double min_ms = -1;
+  double max_ms = -1;
+  double overhead_ms = -1;  // Median (host time for incremental_ingest).
+  int64_t max_parses = -1;
+  int reps = 0;
+  bool checksum_stable = true;
+};
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t n = values.size();
+  return n % 2 == 1 ? values[n / 2] : (values[n / 2 - 1] + values[n / 2]) / 2;
+}
+
+/// Loads every report in the comma-separated `paths` and summarizes each
+/// benchmark by name, in the first report's order.
+bool LoadSide(const std::string& paths, std::string* label,
+              std::vector<Summary>* out) {
+  std::vector<ParsedRun> runs;
+  for (std::string_view path : SplitString(paths, ',')) {
+    ParsedRun run;
+    if (!LoadRun(std::string(path), &run)) return false;
+    runs.push_back(std::move(run));
+  }
+  if (runs.empty()) return false;
+  *label = runs.front().label;
+  for (const BenchResult& head : runs.front().benchmarks) {
+    Summary sum;
+    sum.first = head;
+    std::vector<double> walls, overheads;
+    for (const ParsedRun& run : runs) {
+      for (const BenchResult& r : run.benchmarks) {
+        if (r.name != head.name) continue;
+        walls.push_back(r.wall_ms);
+        overheads.push_back(r.overhead_ms);
+        sum.max_parses = std::max(sum.max_parses, r.parses);
+        if (r.checksum != head.checksum) sum.checksum_stable = false;
+      }
+    }
+    sum.reps = static_cast<int>(walls.size());
+    sum.median_ms = Median(walls);
+    sum.min_ms = *std::min_element(walls.begin(), walls.end());
+    sum.max_ms = *std::max_element(walls.begin(), walls.end());
+    sum.overhead_ms = Median(overheads);
+    out->push_back(std::move(sum));
+  }
+  return true;
+}
+
+int Merge(const std::string& baseline_paths,
+          const std::string& current_paths) {
+  std::string baseline_label, current_label;
+  std::vector<Summary> baseline, current;
+  if (!LoadSide(baseline_paths, &baseline_label, &baseline) ||
+      !LoadSide(current_paths, &current_label, &current)) {
     return 2;
   }
   bool parse_invariant_ok = true;
+  bool checksums_stable = true;
   // PR 7 raised the bar: the vectorized filter-refine path must hold
   // >= 2.5x on BOTH query-side scenarios, not 2x on any one.
   bool join_target = false;
   bool range_target = false;
   std::ostringstream rows;
-  for (size_t i = 0; i < current.benchmarks.size(); ++i) {
-    const BenchResult& cur = current.benchmarks[i];
-    const BenchResult* base = nullptr;
-    for (const BenchResult& b : baseline.benchmarks) {
-      if (b.name == cur.name) base = &b;
+  for (size_t i = 0; i < current.size(); ++i) {
+    const Summary& cur = current[i];
+    const Summary* base = nullptr;
+    for (const Summary& b : baseline) {
+      if (b.first.name == cur.first.name) base = &b;
     }
     // A benchmark the baseline tree cannot run (e.g. fault_recovery
     // against a pre-fault-subsystem revision) is still reported, with
     // the baseline columns pinned to -1.
-    const double base_wall = base != nullptr ? base->wall_ms : -1;
-    const int64_t base_parses = base != nullptr ? base->parses : -1;
-    const int64_t base_checksum = base != nullptr ? base->checksum : -1;
-    const double speedup =
-        base != nullptr && cur.wall_ms > 0 ? base_wall / cur.wall_ms : 0;
-    if (cur.name == "spatial_join" && speedup >= 2.5) join_target = true;
-    if (cur.name == "range_query" && speedup >= 2.5) range_target = true;
+    const Summary missing;
+    const Summary& b = base != nullptr ? *base : missing;
+    const int64_t base_checksum = base != nullptr ? b.first.checksum : -1;
+    const double speedup = base != nullptr && cur.median_ms > 0
+                               ? b.median_ms / cur.median_ms
+                               : 0;
+    const std::string& name = cur.first.name;
+    if (name == "spatial_join" && speedup >= 2.5) join_target = true;
+    if (name == "range_query" && speedup >= 2.5) range_target = true;
     // The parse-once invariant only applies to the current tree (the
     // baseline predates the counters and reports -1).
-    const bool parses_ok = cur.parses < 0 || cur.parses <= cur.records;
+    const bool parses_ok =
+        cur.max_parses < 0 || cur.max_parses <= cur.first.records;
     if (!parses_ok) parse_invariant_ok = false;
-    rows << "    {\"name\": \"" << cur.name << "\", \"baseline_wall_ms\": "
-         << base_wall << ", \"wall_ms\": " << cur.wall_ms
-         << ", \"speedup\": " << speedup << ", \"records\": " << cur.records
-         << ", \"parses\": " << cur.parses << ", \"baseline_parses\": "
-         << base_parses << ", \"parse_once_ok\": "
+    if (!cur.checksum_stable || !b.checksum_stable) {
+      std::cerr << "FAIL: " << name << " checksum differs between reps\n";
+      checksums_stable = false;
+    }
+    rows << "    {\"name\": \"" << name << "\", \"baseline_wall_ms\": "
+         << b.median_ms << ", \"wall_ms\": " << cur.median_ms
+         << ", \"speedup\": " << speedup << ", \"reps\": " << cur.reps
+         << ", \"baseline_min_ms\": " << b.min_ms
+         << ", \"baseline_max_ms\": " << b.max_ms
+         << ", \"min_ms\": " << cur.min_ms << ", \"max_ms\": " << cur.max_ms
+         << ", \"records\": " << cur.first.records
+         << ", \"parses\": " << cur.max_parses << ", \"baseline_parses\": "
+         << b.max_parses << ", \"parse_once_ok\": "
          << (parses_ok ? "true" : "false") << ", \"checksum\": "
-         << cur.checksum << ", \"baseline_checksum\": " << base_checksum
+         << cur.first.checksum << ", \"baseline_checksum\": " << base_checksum
          << ", \"overhead_ms\": " << cur.overhead_ms
-         << ", \"p50_ms\": " << cur.p50_ms << ", \"p99_ms\": " << cur.p99_ms
-         << "}"
-         << (i + 1 < current.benchmarks.size() ? "," : "") << "\n";
+         << ", \"p50_ms\": " << cur.first.p50_ms
+         << ", \"p99_ms\": " << cur.first.p99_ms << "}"
+         << (i + 1 < current.size() ? "," : "") << "\n";
   }
   std::cout << "{\n  \"bench\": \"zero-copy-hotpath\",\n"
-            << "  \"baseline\": \"" << baseline.label << "\",\n"
-            << "  \"current\": \"" << current.label << "\",\n"
+            << "  \"baseline\": \"" << baseline_label << "\",\n"
+            << "  \"current\": \"" << current_label << "\",\n"
             << "  \"results\": [\n" << rows.str() << "  ],\n"
             << "  \"parse_invariant_ok\": "
             << (parse_invariant_ok ? "true" : "false") << ",\n"
@@ -849,7 +923,7 @@ int Merge(const std::string& baseline_path, const std::string& current_path) {
     std::cerr << "FAIL: geometry parses exceed records processed\n";
     return 1;
   }
-  return 0;
+  return checksums_stable ? 0 : 1;
 }
 
 int RunAll(const std::string& label, const std::string& out_path, int reps,

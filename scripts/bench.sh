@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Wall-clock benchmark of the spatial hot path against a baseline
 # revision. Builds bench_hotpath in Release mode twice — once in this
-# tree, once in a detached worktree of the baseline ref (default:
+# tree, once in a `git archive` copy of the baseline ref (default:
 # HEAD~1) with the same harness source copied in — runs both with
-# identical fixed seeds, and merges the two reports into BENCH_pr9.json.
+# identical fixed seeds, and merges the reports into ${OUT}.
 # Besides the zero-copy benchmarks, the harness also runs the
 # fault-recovery scenario (5% task failures + stragglers), the
 # incremental-ingest scenario (catalog appends vs a full rebuild), the
@@ -15,29 +15,37 @@
 # trees that have all of those subsystems (the default baseline and
 # anything later), so both sides run every scenario.
 #
+# The two binaries alternate rep by rep (baseline first on odd reps,
+# current first on even ones), so host drift and warm-up fall on both
+# sides alike. The merged report gives each side's median wall time with
+# its min/max spread; the speedup is the ratio of the medians.
+#
 # Fails if the parse-once invariant is violated (geometry parses exceed
-# the record-visit bound of any benchmark in the current tree) or if the
-# fault-injected sweep's rows diverge from the clean run.
+# the record-visit bound of any benchmark in the current tree), if a
+# checksum differs between reps, or if the fault-injected sweep's rows
+# diverge from the clean run.
 #
 # Usage: scripts/bench.sh [baseline-ref]        (default: HEAD~1)
-#        REPS=5 OUT=my.json scripts/bench.sh    (env overrides)
+#        REPS=5 OUT=BENCH_pr<N>.json scripts/bench.sh   (env overrides)
+# The default OUT stays inside the ignored build-bench/ tree; name a
+# BENCH_pr<N>.json explicitly for a report that is meant to be committed.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BASELINE_REF="${1:-HEAD~1}"
-REPS="${REPS:-3}"
-OUT="${OUT:-BENCH_pr9.json}"
+REPS="${REPS:-5}"
+OUT="${OUT:-build-bench/BENCH.json}"
 BASELINE_DIR=".bench-baseline"
 
 echo "== building current tree (Release) =="
 cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-bench -j "$(nproc)" --target bench_hotpath
 
-echo "== preparing baseline worktree (${BASELINE_REF}) =="
-git worktree remove --force "${BASELINE_DIR}" 2>/dev/null || true
+echo "== preparing baseline copy (${BASELINE_REF}) =="
 rm -rf "${BASELINE_DIR}"
-git worktree add --detach "${BASELINE_DIR}" "${BASELINE_REF}"
-trap 'git worktree remove --force "'"${BASELINE_DIR}"'" 2>/dev/null || true' EXIT
+mkdir -p "${BASELINE_DIR}"
+trap 'rm -rf "'"${BASELINE_DIR}"'"' EXIT
+git archive "${BASELINE_REF}" | tar -x -C "${BASELINE_DIR}"
 
 # The harness itself rides along: the baseline needs only the source
 # file and a target registration.
@@ -58,19 +66,39 @@ cmake -B "${BASELINE_DIR}/build-bench" -S "${BASELINE_DIR}" \
 cmake --build "${BASELINE_DIR}/build-bench" -j "$(nproc)" \
   --target bench_hotpath
 
-echo "== running baseline =="
-"${BASELINE_DIR}/build-bench/bench/bench_hotpath" \
-  --label "baseline-$(git rev-parse --short "${BASELINE_REF}")" \
-  --reps "${REPS}" --out build-bench/baseline.json
+BASELINE_LABEL="baseline-$(git rev-parse --short "${BASELINE_REF}")"
+CURRENT_LABEL="current-$(git rev-parse --short HEAD)"
+run_baseline() {
+  "${BASELINE_DIR}/build-bench/bench/bench_hotpath" \
+    --label "${BASELINE_LABEL}" --reps 1 --out "$1"
+}
+run_current() {
+  ./build-bench/bench/bench_hotpath \
+    --label "${CURRENT_LABEL}" --reps 1 --out "$1"
+}
 
-echo "== running current =="
-./build-bench/bench/bench_hotpath \
-  --label "current-$(git rev-parse --short HEAD)" \
-  --reps "${REPS}" --out build-bench/current.json
+BASELINE_RUNS=()
+CURRENT_RUNS=()
+for ((rep = 1; rep <= REPS; ++rep)); do
+  base_out="build-bench/baseline.${rep}.json"
+  cur_out="build-bench/current.${rep}.json"
+  if ((rep % 2 == 1)); then
+    echo "== rep ${rep}/${REPS}: baseline, then current =="
+    run_baseline "${base_out}"
+    run_current "${cur_out}"
+  else
+    echo "== rep ${rep}/${REPS}: current, then baseline =="
+    run_current "${cur_out}"
+    run_baseline "${base_out}"
+  fi
+  BASELINE_RUNS+=("${base_out}")
+  CURRENT_RUNS+=("${cur_out}")
+done
 
 echo "== merging -> ${OUT} =="
 ./build-bench/bench/bench_hotpath --merge \
-  build-bench/baseline.json build-bench/current.json > "${OUT}"
+  "$(IFS=,; echo "${BASELINE_RUNS[*]}")" \
+  "$(IFS=,; echo "${CURRENT_RUNS[*]}")" > "${OUT}"
 cat "${OUT}"
 
 # Trajectory check: a scenario whose speedup drops versus the previous

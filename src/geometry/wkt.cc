@@ -1,73 +1,149 @@
 #include "geometry/wkt.h"
 
-#include <cctype>
+#include <algorithm>
+#include <array>
+#include <charconv>
+#include <cstdint>
+#include <cstring>
 
 #include "common/string_util.h"
 
 namespace shadoop {
 namespace {
 
-/// Consumes an expected keyword (case-insensitive) and following blanks.
+/// The C-locale isspace set, spelled out so the hot loop needs no locale
+/// lookup: ' ', '\t', '\n', '\v', '\f', '\r'.
+constexpr bool IsBlank(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+std::string_view SkipBlanks(std::string_view text) {
+  size_t i = 0;
+  while (i < text.size() && IsBlank(text[i])) ++i;
+  return text.substr(i);
+}
+
+/// Consumes an expected keyword (upper-case letters, matched ASCII
+/// case-insensitively) and following blanks.
 Status ExpectKeyword(std::string_view& text, std::string_view keyword) {
-  text = StripWhitespace(text);
-  if (!StartsWithIgnoreCase(text, keyword)) {
+  text = SkipBlanks(text);
+  bool match = text.size() >= keyword.size();
+  for (size_t i = 0; match && i < keyword.size(); ++i) {
+    match = (text[i] | 0x20) == (keyword[i] | 0x20);
+  }
+  if (!match) {
     return Status::ParseError("expected '" + std::string(keyword) +
                               "' in WKT: '" + std::string(text) + "'");
   }
-  text.remove_prefix(keyword.size());
-  text = StripWhitespace(text);
+  text = SkipBlanks(text.substr(keyword.size()));
   return Status::OK();
 }
 
 Status ExpectChar(std::string_view& text, char c) {
-  text = StripWhitespace(text);
+  text = SkipBlanks(text);
   if (text.empty() || text.front() != c) {
     return Status::ParseError(std::string("expected '") + c + "' in WKT");
   }
-  text.remove_prefix(1);
-  text = StripWhitespace(text);
+  text = SkipBlanks(text.substr(1));
   return Status::OK();
 }
 
-bool IsAsciiSpace(char c) {
-  return std::isspace(static_cast<unsigned char>(c)) != 0;
+/// Chars that end a number token: the blanks, ',' and ')'. A table, since
+/// the token scan tests every char of every coordinate.
+constexpr std::array<bool, 256> kEndsToken = [] {
+  std::array<bool, 256> ends{};
+  for (int c = 0; c < 256; ++c) {
+    ends[c] = IsBlank(static_cast<char>(c)) || c == ',' || c == ')';
+  }
+  return ends;
+}();
+
+constexpr bool EndsToken(char c) {
+  return kEndsToken[static_cast<unsigned char>(c)];
 }
 
-/// Parses "x y" coordinate pairs separated by commas until the closing ')'.
-/// Tokens are scanned in place (no SplitWhitespace vector) — this runs once
-/// per vertex of every polygon record on the join hot path.
-Result<std::vector<Point>> ParseCoordinateList(std::string_view& text) {
-  std::vector<Point> points;
-  for (;;) {
-    text = StripWhitespace(text);
-    size_t end = text.find_first_of(",)");
-    if (end == std::string_view::npos) {
-      return Status::ParseError("unterminated coordinate list in WKT");
-    }
-    const std::string_view pair = text.substr(0, end);
-    std::string_view tokens[2];
-    int count = 0;
-    size_t i = 0;
-    while (i < pair.size()) {
-      while (i < pair.size() && IsAsciiSpace(pair[i])) ++i;
-      const size_t start = i;
-      while (i < pair.size() && !IsAsciiSpace(pair[i])) ++i;
-      if (i == start) break;  // Only trailing whitespace remained.
-      if (count < 2) tokens[count] = pair.substr(start, i - start);
-      ++count;
-    }
-    if (count != 2) {
-      return Status::ParseError("expected 'x y' coordinate in WKT, got '" +
-                                std::string(pair) + "'");
-    }
-    SHADOOP_ASSIGN_OR_RETURN(double x, ParseDouble(tokens[0]));
-    SHADOOP_ASSIGN_OR_RETURN(double y, ParseDouble(tokens[1]));
-    points.emplace_back(x, y);
-    const char delim = text[end];
-    text.remove_prefix(end + 1);
-    if (delim == ')') break;
+const char* SkipBlanks(const char* p, const char* end) {
+  while (p != end && IsBlank(*p)) ++p;
+  return p;
+}
+
+/// Scans the number token at `*p` -- the maximal run of chars that end no
+/// token -- and advances `*p` past it. from_chars is bounded by the token
+/// end, not the string end: it accepts "nan(chars)", so an unbounded call
+/// could consume a ring's closing ')' and everything after it.
+bool ScanNumber(const char** p, const char* end, double* out) {
+  const char* const start = *p;
+  const char* q = start;
+  // Skip eight chars at a time while none is below '-' (0x2D): every char
+  // that ends a token is (blanks 0x09-0x0D and 0x20, ')' 0x29, ',' 0x2C).
+  // The has-less-than test below is nonzero iff some byte is below '-';
+  // the char loop then finds which.
+  constexpr uint64_t kOnes = 0x0101010101010101ULL;
+  constexpr uint64_t kHighs = 0x8080808080808080ULL;
+  while (end - q >= 8) {
+    uint64_t word;
+    std::memcpy(&word, q, sizeof(word));
+    if (((word - kOnes * '-') & ~word & kHighs) != 0) break;
+    q += 8;
   }
-  return points;
+  while (q != end && !EndsToken(*q)) ++q;
+  *p = q;
+  if (q == start) return false;
+  const auto [ptr, ec] = std::from_chars(start, q, *out);
+  return ec == std::errc() && ptr == q;
+}
+
+Status CoordinateError(const char* at, const char* end) {
+  constexpr size_t kContext = 40;
+  const size_t n = std::min(kContext, static_cast<size_t>(end - at));
+  return Status::ParseError("expected 'x y' coordinate in WKT near '" +
+                            std::string(at, n) + "'");
+}
+
+/// Parses "x y" coordinate pairs separated by commas through the closing
+/// ')' in one forward pass, handing each point to `sink`. This runs per
+/// vertex of every polygon record on the join hot path.
+template <typename Sink>
+Status ScanCoordinates(std::string_view& text, Sink&& sink) {
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  for (;;) {
+    const char* const pair = p = SkipBlanks(p, end);
+    Point pt;
+    if (!ScanNumber(&p, end, &pt.x)) return CoordinateError(pair, end);
+    p = SkipBlanks(p, end);
+    if (!ScanNumber(&p, end, &pt.y)) return CoordinateError(pair, end);
+    p = SkipBlanks(p, end);
+    if (p == end || (*p != ',' && *p != ')')) {
+      return CoordinateError(pair, end);
+    }
+    sink(pt);
+    if (*p++ == ')') break;
+  }
+  text.remove_prefix(static_cast<size_t>(p - text.data()));
+  return Status::OK();
+}
+
+/// Scans "POLYGON ((x y, ...))" through the ring's closing parenthesis,
+/// handing each vertex (closing vertex included) to `sink`.
+template <typename Sink>
+Status ScanPolygonRing(std::string_view text, Sink&& sink) {
+  SHADOOP_RETURN_NOT_OK(ExpectKeyword(text, "POLYGON"));
+  SHADOOP_RETURN_NOT_OK(ExpectChar(text, '('));
+  SHADOOP_RETURN_NOT_OK(ExpectChar(text, '('));
+  SHADOOP_RETURN_NOT_OK(ScanCoordinates(text, sink));
+  text = SkipBlanks(text);
+  if (!text.empty() && text.front() == ',') {
+    return Status::ParseError("polygons with holes are not supported");
+  }
+  return ExpectChar(text, ')');
+}
+
+/// A ring of `n` vertices as written, closed when the last repeats the
+/// first, must keep 3 once the closing vertex is dropped.
+Status CheckRing(size_t n, bool closed) {
+  if (n - (closed ? 1 : 0) < 3) {
+    return Status::ParseError("POLYGON ring needs at least 3 distinct points");
+  }
+  return Status::OK();
 }
 
 std::string CoordinateListToString(const std::vector<Point>& points) {
@@ -102,34 +178,54 @@ std::string LineStringToWkt(const std::vector<Point>& points) {
 Result<Point> ParsePointWkt(std::string_view text) {
   SHADOOP_RETURN_NOT_OK(ExpectKeyword(text, "POINT"));
   SHADOOP_RETURN_NOT_OK(ExpectChar(text, '('));
-  SHADOOP_ASSIGN_OR_RETURN(std::vector<Point> pts, ParseCoordinateList(text));
-  if (pts.size() != 1) {
+  Point point;
+  size_t n = 0;
+  SHADOOP_RETURN_NOT_OK(ScanCoordinates(text, [&](const Point& p) {
+    point = p;
+    ++n;
+  }));
+  if (n != 1) {
     return Status::ParseError("POINT must contain exactly one coordinate");
   }
-  return pts.front();
+  return point;
 }
 
 Result<Polygon> ParsePolygonWkt(std::string_view text) {
-  SHADOOP_RETURN_NOT_OK(ExpectKeyword(text, "POLYGON"));
-  SHADOOP_RETURN_NOT_OK(ExpectChar(text, '('));
-  SHADOOP_RETURN_NOT_OK(ExpectChar(text, '('));
-  SHADOOP_ASSIGN_OR_RETURN(std::vector<Point> ring, ParseCoordinateList(text));
-  text = StripWhitespace(text);
-  if (!text.empty() && text.front() == ',') {
-    return Status::ParseError("polygons with holes are not supported");
-  }
-  SHADOOP_RETURN_NOT_OK(ExpectChar(text, ')'));
-  if (ring.size() >= 2 && ring.front() == ring.back()) ring.pop_back();
-  if (ring.size() < 3) {
-    return Status::ParseError("POLYGON ring needs at least 3 distinct points");
-  }
-  return Polygon(std::move(ring));
+  // Vertices collect in a per-thread buffer, so the ring itself is one
+  // exact-size allocation rather than a doubling series.
+  thread_local std::vector<Point> scanned;
+  scanned.clear();
+  SHADOOP_RETURN_NOT_OK(ScanPolygonRing(
+      text, [](const Point& p) { scanned.push_back(p); }));
+  const bool closed = scanned.size() >= 2 && scanned.front() == scanned.back();
+  SHADOOP_RETURN_NOT_OK(CheckRing(scanned.size(), closed));
+  return Polygon(
+      std::vector<Point>(scanned.begin(), scanned.end() - (closed ? 1 : 0)));
+}
+
+Result<Envelope> ParsePolygonWktBounds(std::string_view text) {
+  // Folding the closing vertex too is exact: it compares equal to the
+  // first, and a -0 against a folded +0 (or the reverse) never passes the
+  // strict comparisons of ExpandToInclude.
+  Envelope bounds;
+  Point first;
+  Point last;
+  size_t n = 0;
+  SHADOOP_RETURN_NOT_OK(ScanPolygonRing(text, [&](const Point& p) {
+    if (n++ == 0) first = p;
+    last = p;
+    bounds.ExpandToInclude(p);
+  }));
+  SHADOOP_RETURN_NOT_OK(CheckRing(n, n >= 2 && first == last));
+  return bounds;
 }
 
 Result<std::vector<Point>> ParseLineStringWkt(std::string_view text) {
   SHADOOP_RETURN_NOT_OK(ExpectKeyword(text, "LINESTRING"));
   SHADOOP_RETURN_NOT_OK(ExpectChar(text, '('));
-  SHADOOP_ASSIGN_OR_RETURN(std::vector<Point> pts, ParseCoordinateList(text));
+  std::vector<Point> pts;
+  SHADOOP_RETURN_NOT_OK(
+      ScanCoordinates(text, [&pts](const Point& p) { pts.push_back(p); }));
   if (pts.size() < 2) {
     return Status::ParseError("LINESTRING needs at least 2 points");
   }

@@ -103,10 +103,8 @@ Result<Envelope> RecordEnvelope(ShapeType type, std::string_view record) {
     }
     case ShapeType::kRectangle:
       return ParseEnvelopeCsv(geom);
-    case ShapeType::kPolygon: {
-      SHADOOP_ASSIGN_OR_RETURN(Polygon poly, ParsePolygonWkt(geom));
-      return poly.Bounds();
-    }
+    case ShapeType::kPolygon:
+      return ParsePolygonWktBounds(geom);
   }
   return Status::InvalidArgument("unknown shape type");
 }

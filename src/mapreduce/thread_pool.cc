@@ -5,7 +5,11 @@
 namespace shadoop::mapreduce {
 namespace {
 
-thread_local bool t_in_pool_worker = false;
+/// Set on a pool worker for its whole life and on a caller for the span
+/// of its parallel batch: a ParallelFor started there runs serially,
+/// before it could touch run_mu_ (which a nested call on the caller lane
+/// would otherwise try-lock while its own thread holds it).
+thread_local bool t_in_parallel_for = false;
 
 }  // namespace
 
@@ -45,7 +49,7 @@ void ThreadPool::RunBatch(Batch& batch) {
 }
 
 void ThreadPool::WorkerLoop() {
-  t_in_pool_worker = true;
+  t_in_parallel_for = true;
   uint64_t seen_generation = 0;
   for (;;) {
     std::shared_ptr<Batch> batch;
@@ -77,8 +81,8 @@ void ThreadPool::ParallelFor(size_t n, int max_parallelism,
       n, static_cast<size_t>(std::max(
              1, std::min(max_parallelism,
                          num_workers() + 1)))));
-  if (parallelism <= 1 || t_in_pool_worker) {
-    // Serial fallback: single lane requested or nested call from a worker.
+  if (parallelism <= 1 || t_in_parallel_for) {
+    // Serial fallback: single lane requested, or nested in a batch lane.
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
@@ -101,7 +105,9 @@ void ThreadPool::ParallelFor(size_t n, int max_parallelism,
   }
   wake_cv_.notify_all();
 
+  t_in_parallel_for = true;
   RunBatch(*batch);  // The caller is one of the lanes.
+  t_in_parallel_for = false;
 
   {
     MutexLock lock(&batch->done_mu);

@@ -38,9 +38,10 @@ class ThreadPool {
 
   /// Runs fn(i) for every i in [0, n), using at most `max_parallelism`
   /// threads (including the caller). Blocks until every index completed.
-  /// Calls from a pool worker (or while another ParallelFor holds the
-  /// pool) degrade to serial execution on the caller — correct, just not
-  /// parallel — so nesting cannot deadlock.
+  /// Calls from inside any lane of a running batch (a pool worker or the
+  /// caller lane), or while another ParallelFor holds the pool, degrade
+  /// to serial execution on the caller — correct, just not parallel — so
+  /// nesting cannot deadlock.
   void ParallelFor(size_t n, int max_parallelism,
                    const std::function<void(size_t)>& fn)
       SHADOOP_EXCLUDES(mu_, run_mu_);

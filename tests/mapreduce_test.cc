@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
+#include <thread>
 
 #include "common/random.h"
 #include "common/string_util.h"
 #include "mapreduce/cluster.h"
 #include "mapreduce/job_runner.h"
+#include "mapreduce/thread_pool.h"
 #include "test_util.h"
 
 namespace shadoop::mapreduce {
@@ -251,6 +254,55 @@ TEST(MapReduceTest, MultiReducerJobIsIdenticalAcrossLaneCounts) {
               testing::CostFields(serial.cost))
         << lanes << " lanes";
   }
+}
+
+TEST(ThreadPoolTest, NestedParallelForRunsSeriallyInEveryLane) {
+  // Every outer body, whichever lane runs it (the caller's included),
+  // starts an inner ParallelFor. The inner calls must run serially on the
+  // outer body's own thread, and both levels must cover every index.
+  // Which lanes claim outer indices is up to the scheduler, so the batch
+  // repeats until the caller's lane has run at least one.
+  constexpr size_t kOuter = 64;
+  constexpr size_t kInner = 16;
+  ThreadPool pool(2);
+  bool caller_ran_a_lane = false;
+  for (int attempt = 0; attempt < 50 && !caller_ran_a_lane; ++attempt) {
+    std::vector<uint64_t> out(kOuter * kInner, 0);
+    std::vector<std::thread::id> outer_thread(kOuter);
+    std::vector<std::thread::id> inner_thread(kOuter * kInner);
+    pool.ParallelFor(kOuter, 3, [&](size_t i) {
+      outer_thread[i] = std::this_thread::get_id();
+      pool.ParallelFor(kInner, 3, [&](size_t j) {
+        inner_thread[i * kInner + j] = std::this_thread::get_id();
+        out[i * kInner + j] = (i + 1) * 1000 + j;
+      });
+    });
+    for (size_t i = 0; i < kOuter; ++i) {
+      if (outer_thread[i] == std::this_thread::get_id()) {
+        caller_ran_a_lane = true;
+      }
+      for (size_t j = 0; j < kInner; ++j) {
+        ASSERT_EQ(out[i * kInner + j], (i + 1) * 1000 + j);
+        ASSERT_EQ(inner_thread[i * kInner + j], outer_thread[i])
+            << "inner call of outer index " << i << " left its lane";
+      }
+    }
+  }
+  EXPECT_TRUE(caller_ran_a_lane);
+  // The caller's flag is cleared after its batch: a later top-level call
+  // from the same thread reaches the workers again.
+  bool worker_ran = false;
+  for (int attempt = 0; attempt < 50 && !worker_ran; ++attempt) {
+    std::vector<std::thread::id> ran(kOuter);
+    pool.ParallelFor(kOuter, 3, [&](size_t i) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      ran[i] = std::this_thread::get_id();
+    });
+    for (const std::thread::id& id : ran) {
+      if (id != std::this_thread::get_id()) worker_ran = true;
+    }
+  }
+  EXPECT_TRUE(worker_ran);
 }
 
 TEST(MakespanTest, GreedyScheduling) {
